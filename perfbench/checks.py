@@ -49,9 +49,7 @@ def served_results(
     return problems
 
 
-def bounds_contain_truth(
-    bounds: dict, truth: dict, tolerance_ms: float = TRUTH_TOLERANCE_MS
-) -> list[str]:
+def bounds_contain_truth(bounds: dict, truth: dict) -> list[str]:
     """bounds-sample: every bound contains the true arrival time.
 
     ``bounds`` maps a key to ``(lower, upper)`` and ``truth`` maps the
@@ -61,7 +59,7 @@ def bounds_contain_truth(
     for key, (lower, upper) in bounds.items():
         actual = truth[key]
         excursion = max(lower - actual, actual - upper, 0.0)
-        if excursion > tolerance_ms:
+        if excursion > TRUTH_TOLERANCE_MS:
             outside.append((excursion, key))
     if outside:
         worst, key = max(outside)

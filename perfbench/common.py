@@ -66,17 +66,6 @@ def median(values) -> float:
     return float(statistics.median(values)) if values else float("nan")
 
 
-def percentile(values, q: float) -> float:
-    """Linear-interpolation percentile (numpy's default), q in [0, 100]."""
-    ordered = sorted(values)
-    if not ordered:
-        return float("nan")
-    rank = (len(ordered) - 1) * q / 100.0
-    lo = int(rank)
-    hi = min(lo + 1, len(ordered) - 1)
-    return float(ordered[lo] + (ordered[hi] - ordered[lo]) * (rank - lo))
-
-
 # ----------------------------------------------------------------------
 # Memory and CPU of this process and of child process trees
 # ----------------------------------------------------------------------
@@ -163,7 +152,7 @@ class HostContext:
         self._start = _cpu_ticks()
         self._load_start = os.getloadavg()
 
-    def finish(self, **extra) -> dict:
+    def finish(self) -> dict:
         end = _cpu_ticks()
         context = {
             "cpu_count": os.cpu_count(),
@@ -181,7 +170,6 @@ class HostContext:
                 context[module] = __import__(module).__version__
             except ImportError:
                 context[module] = None
-        context.update(extra)
         return context
 
 
@@ -200,6 +188,9 @@ class RunResult:
     metrics: dict[str, tuple[float, str]]
     #: output-check failures (empty when every check passed).
     problems: list[str] = field(default_factory=list)
+    #: why the measurement is invalid (the host, not the program, was
+    #: measured); printed in the info line. Empty when valid.
+    invalid: list[str] = field(default_factory=list)
     #: lines printed before the result: host context, manifest, extras.
     info: dict = field(default_factory=dict)
 

@@ -45,7 +45,7 @@ SIZES = {
             "sample": 30, "cut": 500,
         },
         "serve-live": {
-            "streams": 4, "nodes": 25, "duration_s": 100.0, "base_seed": 1,
+            "streams": 4, "nodes": 25, "duration_s": 150.0, "base_seed": 1,
         },
         "warmup": {"nodes": 16, "duration_s": 30.0, "base_seed": 2, "cut": 40},
     },
@@ -139,7 +139,7 @@ def packet_properties(packets) -> dict:
     }
 
 
-def window_plan(packets, span_ms: float | None = None) -> dict:
+def window_plan(packets) -> dict:
     """The batch window grid: span, solved windows, members per window.
 
     Mirrors ``build_window_systems``' membership rule (half-open solve
@@ -151,8 +151,7 @@ def window_plan(packets, span_ms: float | None = None) -> dict:
     from repro.core.windows import plan_windows
 
     config = DomoConfig()
-    if span_ms is None:
-        span_ms = choose_window_span(packets, config.target_window_packets)
+    span_ms = choose_window_span(packets, config.target_window_packets)
     ordered = generation_order(packets)
     t0s = [p.generation_time_ms for p in ordered]
     members = []
@@ -282,7 +281,7 @@ GENERATORS = {
 }
 
 
-def generate(workload: str, seed: int, out: Path, size: str = "full") -> dict:
+def generate(workload: str, seed: int, out: Path, size: str) -> dict:
     """Write one workload's inputs and manifest into ``out``."""
     import_program()
     out.mkdir(parents=True, exist_ok=True)

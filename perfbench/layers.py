@@ -7,35 +7,56 @@ calls reads 0 there. Times are self times in seconds (per pass for
 
 Which end-to-end metric each layer should move, on which workload, with
 the layer's share of the work at seed 7 on a 2-core host (share of a
-pass for batch and bounds; seconds per replay for serve-live, where the
-server spends about 3.3 s of CPU on ~1,200 records):
+pass for batch and bounds; seconds per 30 s replay for serve-live, where
+the traced server spends about 5.5 s of CPU on ~1,800 records):
 
 ==============  =================================  ==========================
 layer           should move                        on (share at seed 7)
 ==============  =================================  ==========================
 io              throughput_per_s                   batch (2%)
 validate        throughput_per_s                   batch (<1%)
-window_build    throughput_per_s; latency_p50_ms   batch (68%), bounds (20%),
-                                                   serve (0.25 s)
-solve           latency_p50/p90_ms;                serve (1.1 s wall),
+window_build    throughput_per_s; r2r_p50_ms       batch (68%), bounds (20%),
+                                                   serve (0.39 s)
+solve           r2r_p50/p90_ms;                    serve (1.7 s wall),
                 throughput_per_s                   batch (27%)
 index, assemble throughput_per_s                   batch, bounds (<1%)
-stream          peak_rss_mb, latency_p90_ms        serve
-serve           throughput_per_s, latency_p50_ms   serve: loop 0.93 s CPU,
-                                                   replies 0.62 s, RESULTS
-                                                   0.43 s, ingest 0.29 s
-durability      throughput_per_s; latency_p90_ms   serve: WAL 0.29 s
+stream          peak_rss_mb, r2r_p90_ms            serve
+serve           throughput_per_s, r2r_p50_ms       serve: replies 0.90 s,
+                                                   RESULTS 0.67 s, reader
+                                                   loop 0.65 s, ingest
+                                                   0.49 s, thread handoff
+                                                   0.30 s, parse 0.23 s,
+                                                   queue pump 0.18 s,
+                                                   socket reads 0.18 s
+                throughput_per_s (wakeups)         serve: selector wait
+                                                   0.24 s CPU; loop's own
+                                                   and unnamed 0.34 s CPU
+durability      throughput_per_s; r2r_p90_ms       serve: WAL 0.43 s
 bounds          throughput_per_s                   bounds: LP 41%, extract
                                                    16%, per-target 13%,
                                                    graph 8%
-loadgen         none: shows whether latencies      serve
+loadgen         none: r2r_p50/p90_ms are its own   serve
+                readings; lag shows whether they
                 are valid
 ==============  =================================  ==========================
+
+``r2r_p50_ms`` and ``r2r_p90_ms`` are ``loadgen.r2r_p50_ms`` and
+``loadgen.r2r_p90_ms``: the record-to-result latency of the untraced
+replay, reported here without a bound because the shared host's steal
+spreads them past any bound (see ``perfbench/README.md``).
+
+On serve-live, ``trace.coverage`` is the share of the server's CPU
+inside spans that name a layer, and ``serve.loop_cpu_s`` is the rest:
+the event loop's own work between callbacks, callbacks that
+:data:`~perfbench.tracing.SERVE_CALLBACKS` does not name, and thread
+overhead outside every span.
 """
 
 from __future__ import annotations
 
-from perfbench.common import median, percentile
+import numpy
+
+from perfbench.common import median
 from perfbench.tracing import self_cpu, self_times
 
 #: (name, unit) of every per-layer metric, in report order.
@@ -70,6 +91,11 @@ PER_LAYER = [
     ("serve.ingest_batches", "count"),
     ("serve.batch_records_p50", "count"),
     ("serve.loop_cpu_s", "s"),
+    ("serve.select_cpu_s", "s"),
+    ("serve.read_s", "s"),
+    ("serve.connection_s", "s"),
+    ("serve.pump_s", "s"),
+    ("serve.handoff_s", "s"),
     ("serve.enqueue_s", "s"),
     ("serve.reply_s", "s"),
     ("serve.results_s", "s"),
@@ -96,6 +122,8 @@ PER_LAYER = [
     ("loadgen.records_sent", "count"),
     ("loadgen.polls", "count"),
     ("loadgen.r2r_windows", "count"),
+    ("loadgen.r2r_p50_ms", "ms"),
+    ("loadgen.r2r_p90_ms", "ms"),
     ("trace.coverage", "ratio"),
     ("trace.overhead", "ratio"),
 ]
@@ -170,9 +198,13 @@ def span_metrics(spans: list[dict]) -> dict[str, float]:
             if by_name.get("serve.ingest")
             else 0.0
         ),
-        "serve.loop_cpu_s": sum(
-            own_cpu[s["id"]] for s in by_name.get("serve.loop", [])
+        "serve.select_cpu_s": sum(
+            own_cpu[s["id"]] for s in by_name.get("serve.select", [])
         ),
+        "serve.read_s": total("serve.read"),
+        "serve.connection_s": total("serve.connection"),
+        "serve.pump_s": total("serve.pump"),
+        "serve.handoff_s": total("serve.handoff"),
         "serve.enqueue_s": total("serve.enqueue"),
         "serve.reply_s": total("serve.reply")
         + total("serve.encode", lambda a: not a.get("results")),
@@ -216,4 +248,4 @@ def complete(values: dict[str, float]) -> dict[str, tuple[float, str]]:
 
 
 def lag_p90_ms(lags_s: list[float]) -> float:
-    return 1000.0 * percentile(lags_s, 90) if lags_s else 0.0
+    return 1000.0 * float(numpy.percentile(lags_s, 90))

@@ -2,10 +2,13 @@
 
 ``batch-estimate`` and ``bounds-sample`` both repeat one pass over one
 input: set up several times (report the median), then run passes until
-the run's seconds are spent and report medians over passes. The traced
-run alternates untraced and traced passes, so the tracing overhead is
-measured under the same conditions, and requires both to return the
-same output.
+the run's seconds are spent and report medians over passes. A host
+speed probe runs before every set-up and pass and after the last, and
+each timing is reported at the nominal host speed of the probes around
+it (``perfbench/hostspeed.py``); the raw times go to the info line. The
+traced run alternates untraced and traced passes, so the tracing
+overhead is measured under the same conditions, and requires both to
+return the same output.
 """
 
 from __future__ import annotations
@@ -17,13 +20,14 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from perfbench import layers
+import numpy
+
+from perfbench import hostspeed, layers
 from perfbench.common import (
     ROOT,
     BenchError,
     RunResult,
     median,
-    percentile,
     program_env,
     self_peak_rss_mb,
 )
@@ -74,6 +78,8 @@ class PassOutcome:
     #: the program's own result object, for accuracy and layer counts.
     result: object = None
     extra_layers: dict = field(default_factory=dict)
+    #: index of the host speed probe taken just before the pass.
+    probe: int = 0
 
 
 class PassWorkload:
@@ -101,17 +107,20 @@ class PassWorkload:
         return {}
 
 
-def _set_up(workload: PassWorkload, ctx) -> tuple[float, dict]:
-    times = []
+def _set_up(workload: PassWorkload, ctx, probes) -> tuple[list, dict]:
+    """Set up SETUPS times; returns (seconds, probe before) of each and
+    the manifest. The probe after the last set-up is the first pass's."""
+    setups = []
     manifest = {}
     for index in range(SETUPS):
+        before = probes.take()
         started = time.perf_counter()
         inputs = ctx.workdir / f"setup-{index}"
         manifest = generate_inputs(workload.name, ctx.seed, ctx.size, inputs)
         workload.prepare(inputs, manifest)
         workload.warmup(inputs)
-        times.append(time.perf_counter() - started)
-    return median(times), manifest
+        setups.append((time.perf_counter() - started, before))
+    return setups, manifest
 
 
 def _traced_pass(workload: PassWorkload):
@@ -131,7 +140,8 @@ def _traced_pass(workload: PassWorkload):
 
 
 def run_passes(workload: PassWorkload, ctx) -> RunResult:
-    setup_s, manifest = _set_up(workload, ctx)
+    probes = hostspeed.Probes()
+    setups, manifest = _set_up(workload, ctx, probes)
     first: PassOutcome | None = None
     problems: list[str] = []
     untraced: list[PassOutcome] = []
@@ -151,30 +161,42 @@ def run_passes(workload: PassWorkload, ctx) -> RunResult:
 
     deadline = time.perf_counter() + ctx.seconds
     while time.perf_counter() < deadline or len(untraced) < MIN_PASSES:
+        before = probes.take()
         outcome = workload.one_pass()
+        outcome.probe = before
         keep(outcome, "untraced", untraced)
         if first is None:
             first = outcome
             problems.extend(workload.check(first))
         if ctx.trace:
+            before = probes.take()
             outcome, values = _traced_pass(workload)
+            outcome.probe = before
             keep(outcome, "traced", traced)
             traced_values.append(values)
 
+    probes.take()
     every = untraced + traced
-    seconds = [o.seconds for o in untraced]
-    throughput = [o.items / o.seconds for o in untraced]
+    seconds = [probes.adjust(o.seconds, o.probe) for o in untraced]
+    throughput = [o.items / s for o, s in zip(untraced, seconds)]
     info = {
         "manifest": manifest,
         "passes": len(untraced),
-        "pass_seconds": [round(s, 4) for s in seconds],
+        "raw_pass_seconds": [round(o.seconds, 4) for o in untraced],
+        "raw_setup_seconds": [round(s, 4) for s, _ in setups],
+        "raw_throughput_per_s": median(o.items / o.seconds for o in untraced),
+        "pass_p50_ms": 1000.0 * median(seconds),
+        "pass_p90_ms": 1000.0 * float(numpy.percentile(seconds, 90)),
+        **probes.info(),
         **workload.info(first),
     }
     if ctx.trace:
         values = layers.per_pass_median(traced_values)
         values["trace.coverage"] = min(v["trace.coverage"] for v in traced_values)
         values["trace.overhead"] = (
-            median(o.seconds for o in traced) / median(seconds) - 1.0
+            median(probes.adjust(o.seconds, o.probe) for o in traced)
+            / median(seconds)
+            - 1.0
         )
         info["coverage_per_pass"] = [
             round(v["trace.coverage"], 4) for v in traced_values
@@ -185,11 +207,9 @@ def run_passes(workload: PassWorkload, ctx) -> RunResult:
         metrics = layers.complete(values)
     else:
         metrics = {
-            "setup_s": (setup_s, "s"),
+            "setup_s": (median(probes.adjust(*s) for s in setups), "s"),
             "peak_rss_mb": (self_peak_rss_mb(), "MB"),
             "throughput_per_s": (median(throughput), "1/s"),
-            "latency_p50_ms": (1000.0 * median(seconds), "ms"),
-            "latency_p90_ms": (1000.0 * percentile(seconds, 90), "ms"),
             "error_ms": (workload.error_ms(first), "ms"),
         }
     return RunResult(

@@ -1,7 +1,8 @@
 """Span tracing from outside the program: wrap public entry points.
 
 A :class:`Tracer` keeps spans in memory (name, start, end, parent,
-thread, thread CPU time, attributes) until the run ends. :func:`install` wraps every layer entry point the workloads reach
+thread, thread CPU time, attributes) until the run ends.
+:func:`install` wraps every layer entry point the workloads reach
 (:data:`LAYER_ENTRY_POINTS`) at the module attribute the caller looks
 up, so nothing under ``src/`` changes and an uninstalled run executes
 the program untouched.
@@ -10,16 +11,22 @@ A layer's self time is its span minus the time covered by its child
 spans; children nest inside their parent on one thread, so the covered
 time is the sum of the children's durations. Wrapped coroutines are
 entry points that do not suspend except under backpressure, so their
-spans nest like calls on the event loop's thread; each event-loop
-iteration is itself a span, which accounts for the loop's own CPU time.
+spans nest like calls on the event loop's thread. On that thread each
+callback the loop runs is a span, named by what it runs
+(:data:`SERVE_CALLBACKS`): a step of a connection's reader task, a
+socket read, and so on. A long-lived task is thus timed step by step,
+never across the time it is suspended. The loop's own work between
+callbacks is in no span.
 """
 
 from __future__ import annotations
 
+import asyncio
 import contextlib
 import functools
 import importlib
 import inspect
+import itertools
 import threading
 import time
 
@@ -31,62 +38,66 @@ class Tracer:
     """In-memory span recorder; thread-safe, one span stack per thread."""
 
     def __init__(self) -> None:
+        # list.append and next() on a count are atomic under the GIL.
         self.spans: list[list] = []
         self._local = threading.local()
-        self._lock = threading.Lock()
-        self._next_id = 0
+        self._ids = itertools.count()
 
-    def _thread_stack(self) -> list[int]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
+    def _open(self, name: str) -> tuple[list, list[int]]:
+        """Start a span; returns its record and this thread's span stack
+        (a coroutine resumes on the thread it started on)."""
+        try:
+            stack = self._local.stack
+        except AttributeError:
             stack = self._local.stack = []
-        return stack
-
-    def _open(self, name: str) -> list:
-        with self._lock:
-            span_id = self._next_id
-            self._next_id += 1
-        stack = self._thread_stack()
         record = [
-            span_id,
+            next(self._ids),
             stack[-1] if stack else None,
             name,
             threading.get_ident(),
-            time.perf_counter(),
             0.0,
-            time.thread_time(),
+            0.0,
+            0.0,
             None,
         ]
-        stack.append(span_id)
-        return record
+        stack.append(record[0])
+        # Clocks last on open and first on close: the tracer's own
+        # bookkeeping falls outside the span, into its parent's self time.
+        record[6] = time.thread_time()
+        record[4] = time.perf_counter()
+        return record, stack
 
-    def _close(self, record: list, attrs: dict | None) -> None:
+    def _close(self, record: list, stack: list[int], attrs: dict | None) -> None:
         record[5] = time.perf_counter()
         record[6] = time.thread_time() - record[6]
         record[7] = attrs
         # By id, not by position: a coroutine that suspended inside its
         # span closes after spans opened later on the same thread.
-        self._thread_stack().remove(record[0])
-        with self._lock:
-            self.spans.append(record)
+        stack.remove(record[0])
+        self.spans.append(record)
 
     @contextlib.contextmanager
     def span(self, name: str):
         """Record one span around a block."""
-        record = self._open(name)
+        record, stack = self._open(name)
         try:
             yield
         finally:
-            self._close(record, None)
+            self._close(record, stack, None)
 
-    def wrap(self, name: str, fn, attrs=None):
-        """``fn`` recording a span per call; ``attrs(result, args, kwargs)``
-        may return a dict of counts to attach (or None)."""
+    def wrap(self, name, fn, attrs=None):
+        """``fn`` recording a span per call.
+
+        ``name`` is the span name or, for a plain function, a function
+        of the call's positional arguments returning it.
+        ``attrs(result, args, kwargs)`` may return a dict of counts to
+        attach (or None).
+        """
         if inspect.iscoroutinefunction(fn):
 
             @functools.wraps(fn)
             async def traced_async(*args, **kwargs):
-                record = self._open(name)
+                record, stack = self._open(name)
                 counts = None
                 try:
                     result = await fn(*args, **kwargs)
@@ -94,12 +105,14 @@ class Tracer:
                         counts = attrs(result, args, kwargs)
                     return result
                 finally:
-                    self._close(record, counts)
+                    self._close(record, stack, counts)
 
             return traced_async
 
+        named = callable(name)
+
         def traced(*args, **kwargs):
-            record = self._open(name)
+            record, stack = self._open(name(*args) if named else name)
             counts = None
             try:
                 result = fn(*args, **kwargs)
@@ -107,7 +120,7 @@ class Tracer:
                     counts = attrs(result, args, kwargs)
                 return result
             finally:
-                self._close(record, counts)
+                self._close(record, stack, counts)
 
         # A wrapped class is only ever called to construct instances.
         return traced if inspect.isclass(fn) else functools.wraps(fn)(traced)
@@ -176,8 +189,40 @@ def _extract_counts(result, args, kwargs) -> dict:
     return {"vertices": result.size}
 
 
-#: layer -> [(span name, "module:attribute" call sites, attrs function)].
-#: A dotted attribute ("Class.method") patches the method on the class.
+#: what an event-loop callback runs (a task's coroutine, or a transport
+#: or loop method) -> the serve-path layer it belongs to. A callback not
+#: listed is an :data:`UNNAMED` span.
+SERVE_CALLBACKS = {
+    "LineProtocolServer._handle_connection": "serve.connection",
+    "ReconstructionServer._pump": "serve.pump",
+    "_SelectorSocketTransport._read_ready": "serve.read",
+    # An ingest's result crossing from its worker thread to the loop
+    # (the worker side is ``_WorkItem.run`` in LAYER_ENTRY_POINTS).
+    "BaseSelectorEventLoop._read_from_self": "serve.handoff",
+    "_chain_future.<locals>._set_state": "serve.handoff",
+    "_chain_future.<locals>._call_check_cancel": "serve.handoff",
+}
+
+#: the span of a callback not in :data:`SERVE_CALLBACKS`: it names no
+#: layer, so coverage leaves its own time out.
+UNNAMED = "serve.callback"
+
+
+def _callback_span(handle) -> str:
+    """Span name of one event-loop callback, from what it runs."""
+    callback = handle._callback
+    owner = getattr(callback, "__self__", None)
+    if isinstance(owner, asyncio.Task):
+        runs = owner.get_coro().__qualname__
+    else:
+        runs = getattr(callback, "__qualname__", "")
+    return SERVE_CALLBACKS.get(runs, UNNAMED)
+
+
+#: layer -> [(span name, "module:attribute" call sites, attrs function)];
+#: the span name may be a function of the call's arguments (see
+#: :meth:`Tracer.wrap`). A dotted attribute ("Class.method") patches the
+#: method on the class.
 LAYER_ENTRY_POINTS = {
     "io": [("io.load", ["repro.sim.io:load_trace"], None)],
     "validate": [
@@ -222,7 +267,13 @@ LAYER_ENTRY_POINTS = {
         )
     ],
     "serve": [
-        ("serve.loop", ["asyncio.base_events:BaseEventLoop._run_once"], None),
+        (_callback_span, ["asyncio.events:Handle._run"], None),
+        ("serve.select", ["selectors:DefaultSelector.select"], None),
+        (
+            "serve.handoff",
+            ["concurrent.futures.thread:_WorkItem.run"],
+            None,
+        ),
         ("serve.parse", ["repro.serve.core:parse_line"], None),
         (
             "serve.enqueue",
@@ -272,13 +323,13 @@ LAYER_ENTRY_POINTS = {
 }
 
 
-def install(tracer: Tracer, layers=None):
-    """Wrap the entry points of ``layers`` (default: all); returns an
+def install(tracer: Tracer):
+    """Wrap every entry point in :data:`LAYER_ENTRY_POINTS`; returns an
     ``uninstall`` callable restoring the original attributes."""
     targets = [
         (name, site, attrs)
-        for layer in layers or LAYER_ENTRY_POINTS
-        for name, sites, attrs in LAYER_ENTRY_POINTS[layer]
+        for entries in LAYER_ENTRY_POINTS.values()
+        for name, sites, attrs in entries
         for site in sites
     ]
     # Import every module before patching any: a module imported after
@@ -329,6 +380,15 @@ def self_cpu(spans: list[dict]) -> dict[int, float]:
         if span["parent"] is not None:
             child_cpu[span["parent"]] = child_cpu.get(span["parent"], 0.0) + span["cpu"]
     return {span["id"]: span["cpu"] - child_cpu.get(span["id"], 0.0) for span in spans}
+
+
+def named_cpu_s(spans: list[dict]) -> float:
+    """Thread CPU seconds spent inside spans that name a layer: all root
+    spans' CPU less the self CPU of every :data:`UNNAMED` span."""
+    own = self_cpu(spans)
+    return sum(s["cpu"] for s in spans if s["parent"] is None) - sum(
+        own[s["id"]] for s in spans if s["name"] == UNNAMED
+    )
 
 
 def coverage(spans: list[dict], root_id: int) -> float:
