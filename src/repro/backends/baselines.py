@@ -22,11 +22,11 @@ from repro.core.constraints import ConstraintSystem
 from repro.core.records import ArrivalKey
 
 
-def _clamped(system: ConstraintSystem, key: ArrivalKey, value: float) -> float:
-    low, high = system.intervals.get(
-        key, system.index.trivial_interval(key)
+def _clamped(system: ConstraintSystem, key_id: int, value: float) -> float:
+    intervals = system.intervals
+    return float(
+        min(max(value, intervals.lows[key_id]), intervals.highs[key_id])
     )
-    return float(min(max(value, low), high))
 
 
 class MntBackend(EstimatorBackend):
@@ -56,10 +56,12 @@ class MntBackend(EstimatorBackend):
         estimates = {
             key: _clamped(
                 system,
-                key,
+                key_id,
                 0.5 * sum(reconstruction.intervals[key]),
             )
-            for key in system.variables
+            for key, key_id in zip(
+                system.variables, system.index.key_space.unknown
+            )
         }
         return WindowSolution(estimates=estimates, solver="mnt", result=None)
 
@@ -85,13 +87,14 @@ class MessageTracingBackend(EstimatorBackend):
     ) -> WindowSolution:
         if system.num_unknowns == 0:
             return WindowSolution(estimates={}, solver="empty", result=None)
+        space = system.index.key_space
         estimates: dict[ArrivalKey, float] = {}
-        for key in system.variables:
-            packet = system.index.by_id[key.packet_id]
+        for key, key_id in zip(system.variables, space.unknown):
+            packet = space.packets[space.position_of_key[key_id]]
             hops = packet.path_length - 1
             total = packet.sink_arrival_ms - packet.generation_time_ms
             value = packet.generation_time_ms + total * key.hop / hops
-            estimates[key] = _clamped(system, key, value)
+            estimates[key] = _clamped(system, key_id, value)
         return WindowSolution(
             estimates=estimates, solver="message-tracing", result=None
         )

@@ -212,8 +212,10 @@ def expand_to_arrival_times(
     endpoints are exact and order constraints hold by construction.
     """
     omega = system.index.omega_ms
+    space = system.index.key_space
+    lows, highs = system.intervals.lows, system.intervals.highs
     estimates: dict[ArrivalKey, float] = {}
-    for packet in system.index.packets:
+    for packet, offset in zip(space.packets, space.offsets):
         last = packet.path_length - 1
         if last < 2:
             continue
@@ -226,17 +228,14 @@ def expand_to_arrival_times(
         cumulative = 0.0
         for hop in range(1, last):
             cumulative += weights[hop - 1]
-            key = ArrivalKey(packet.packet_id, hop)
-            if key not in system.variables:
-                continue
             value = (
                 packet.generation_time_ms
                 + total_delay * cumulative / total_weight
             )
-            low, high = system.intervals.get(
-                key, system.index.trivial_interval(key)
+            key = offset + hop
+            estimates[ArrivalKey(packet.packet_id, hop)] = float(
+                min(max(value, lows[key]), highs[key])
             )
-            estimates[key] = float(min(max(value, low), high))
     return estimates
 
 

@@ -14,11 +14,11 @@ midpoints selects a canonical solution when the variance objective alone
 is indifferent (e.g. packets with no epsilon-neighbor).
 
 This module is the historical ``repro.core.estimator`` moved behind the
-:class:`~repro.backends.base.EstimatorBackend` contract; that module
-remains as a re-export shim, and :class:`DomoQpBackend` dispatches
-bit-identically to the pre-refactor executor (empty window -> ``{}``,
-``fifo_mode="sdr"`` under the unknown cap -> SDR lift, else the
-linearized QP).
+:class:`~repro.backends.base.EstimatorBackend` contract;
+:class:`DomoQpBackend` dispatches bit-identically to the pre-refactor
+executor (empty window -> ``{}``, ``fifo_mode="sdr"`` under the unknown
+cap -> SDR lift, else the linearized QP). The pair and form helpers
+work over the window's integer key ids and are shared with the SDR lift.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.backends.base import (
     WindowSolution,
 )
 from repro.core.constraints import ConstraintSystem
-from repro.core.records import ArrivalKey
+from repro.core.records import ArrivalKey, KeySpace
 from repro.optim.qp import QPProblem, QPSettings, solve_qp
 from repro.optim.result import SolverError, SolverResult
 
@@ -72,62 +72,65 @@ class EstimatorConfig:
             )
 
 
+def objective_pairs(
+    system: ConstraintSystem, config: EstimatorConfig
+) -> tuple[list[int], list[int], list[int]]:
+    """The pairs entering the objective as ``(nodes, xs, ys)``: x and y
+    arrive at the node at key ids ``x`` and ``y``, t0 gap below epsilon."""
+    return system.index.key_space.visit_pairs(
+        config.epsilon_ms, config.max_pairs_per_visit, include_horizon=False
+    )
+
+
 def enumerate_pairs(
     system: ConstraintSystem, config: EstimatorConfig
 ) -> list[tuple[int, ArrivalKey, ArrivalKey, ArrivalKey, ArrivalKey]]:
     """Pairs (node, x@h, x@h+1, y@h, y@h+1) entering the objective."""
-    pairs = []
-    for node, visits in system.index.node_visits.items():
-        ordered = sorted(visits, key=lambda item: item[0].generation_time_ms)
-        for i, (x, hop_x) in enumerate(ordered):
-            taken = 0
-            for y, hop_y in ordered[i + 1:]:
-                if (
-                    y.generation_time_ms - x.generation_time_ms
-                    >= config.epsilon_ms
-                ):
-                    break
-                if taken >= config.max_pairs_per_visit:
-                    break
-                if x.packet_id == y.packet_id:
-                    continue
-                pairs.append(
-                    (
-                        node,
-                        ArrivalKey(x.packet_id, hop_x),
-                        ArrivalKey(x.packet_id, hop_x + 1),
-                        ArrivalKey(y.packet_id, hop_y),
-                        ArrivalKey(y.packet_id, hop_y + 1),
-                    )
-                )
-                taken += 1
-    return pairs
+    nodes, xs, ys = objective_pairs(system, config)
+    key = system.index.key_space.arrival_key
+    return [
+        (node, key(x), key(x + 1), key(y), key(y + 1))
+        for node, x, y in zip(nodes, xs, ys)
+    ]
 
 
-def _linear_form(
-    system: ConstraintSystem,
-    terms: dict[ArrivalKey, float],
+def linear_form(
+    space: KeySpace,
+    keys: tuple[int, ...],
+    coefficients: tuple[float, ...],
     t_ref: float,
     scale: float = 1.0,
-):
-    """Split a key-space linear form into (columns, coeffs, constant).
+) -> tuple[list[int], list[float], float]:
+    """Split a linear form over key ids into (columns, coeffs, constant).
 
-    Known arrival times fold into the constant, expressed in the shifted
-    and scaled frame ``(t - t_ref) / scale`` used for conditioning.
+    Known arrival times fold into the constant, term by term, expressed
+    in the shifted and scaled frame ``(t - t_ref) / scale`` used for
+    conditioning.
     """
     columns: list[int] = []
-    coefficients: list[float] = []
+    kept: list[float] = []
     constant = 0.0
-    for key, coefficient in terms.items():
-        column = system.variables.get(key)
-        if column is None:
-            constant += (
-                coefficient * (system.index.known_value(key) - t_ref) / scale
-            )
+    for key, coefficient in zip(keys, coefficients):
+        column = space.column[key]
+        if column < 0:
+            constant += coefficient * (space.value[key] - t_ref) / scale
         else:
             columns.append(column)
-            coefficients.append(coefficient)
-    return columns, coefficients, constant
+            kept.append(coefficient)
+    return columns, kept, constant
+
+
+#: D_n(x) - D_n(y) = t[x+1] - t[x] - t[y+1] + t[y], in this term order.
+PAIR_COEFFICIENTS = (1.0, -1.0, -1.0, 1.0)
+
+
+def pair_form(
+    space: KeySpace, x: int, y: int, t_ref: float, scale: float = 1.0
+) -> tuple[list[int], list[float], float]:
+    """:func:`linear_form` of one pair's delay difference."""
+    return linear_form(
+        space, (x + 1, x, y + 1, y), PAIR_COEFFICIENTS, t_ref, scale
+    )
 
 
 def estimate_arrival_times(
@@ -166,23 +169,31 @@ def estimate_arrival_times_info(
     midpoints = 0.5 * (lows + highs) - t_ref
 
     # --- objective: sum of squared delay differences -------------------
-    rows_p: list[int] = []
-    cols_p: list[int] = []
-    vals_p: list[float] = []
-    q = np.zeros(n)
-    for node, x_at, x_next, y_at, y_next in enumerate_pairs(system, config):
-        form = {x_next: 1.0, x_at: -1.0, y_next: -1.0, y_at: 1.0}
-        columns, coefficients, constant = _linear_form(system, form, t_ref)
+    # Each pair is a row of the difference matrix D, so the objective's
+    # Hessian is 2 D'D. Its entries are sums of +-2, exact in any order;
+    # q is accumulated in pair order, as a term-by-term sum would be.
+    space = system.index.key_space
+    d_rows: list[int] = []
+    d_cols: list[int] = []
+    d_vals: list[float] = []
+    q_terms = [0.0] * n
+    num_pairs = 0
+    _, xs, ys = objective_pairs(system, config)
+    for x, y in zip(xs, ys):
+        columns, coefficients, constant = pair_form(space, x, y, t_ref)
         if not columns:
             continue
         # (a'x + c)^2 contributes 2*a*a' to P and 2*c*a to q.
-        for col_i, coef_i in zip(columns, coefficients):
-            q[col_i] += 2.0 * constant * coef_i
-            for col_j, coef_j in zip(columns, coefficients):
-                rows_p.append(col_i)
-                cols_p.append(col_j)
-                vals_p.append(2.0 * coef_i * coef_j)
-    P = sp.csc_matrix((vals_p, (rows_p, cols_p)), shape=(n, n))
+        for column, coefficient in zip(columns, coefficients):
+            q_terms[column] += 2.0 * constant * coefficient
+        d_rows.extend([num_pairs] * len(columns))
+        d_cols.extend(columns)
+        d_vals.extend(coefficients)
+        num_pairs += 1
+    D = sp.csr_matrix((d_vals, (d_rows, d_cols)), shape=(num_pairs, n))
+    P = (2.0 * (D.T @ D)).tocsc()
+    P.sort_indices()
+    q = np.array(q_terms)
 
     # Anchor: lambda * ||x - mid||^2 selects a canonical solution.
     lam = config.anchor_weight
@@ -209,10 +220,7 @@ def estimate_arrival_times_info(
     # ADMM satisfies the box only to its primal tolerance; clamp the
     # estimates into their (always valid) intervals.
     solution = np.clip(result.x, lows - t_ref, highs - t_ref) + t_ref
-    estimates = {
-        key: float(solution[system.variables.index_of(key)])
-        for key in system.variables
-    }
+    estimates = dict(zip(system.variables, solution.tolist()))
     return estimates, result
 
 

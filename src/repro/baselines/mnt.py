@@ -24,15 +24,17 @@ bound midpoints, matching the paper's evaluation methodology (§VI.A).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 from repro.core.intervals import (
     Interval,
+    KeyIntervals,
     clip_to_valid,
     propagate_path_monotonicity,
     trivial_intervals,
 )
-from repro.core.records import ArrivalKey, TraceIndex
+from repro.core.records import ArrivalKey, KeySpace, TraceIndex
 from repro.sim.packet import PacketId
 from repro.sim.trace import ReceivedPacket, TraceBundle
 
@@ -56,7 +58,7 @@ class MntConfig:
 class MntReconstruction:
     """MNT's output: per-arrival-time intervals plus midpoint estimates."""
 
-    intervals: dict[ArrivalKey, Interval]
+    intervals: KeyIntervals
     index: TraceIndex
     stats: dict = field(default_factory=dict)
 
@@ -103,22 +105,23 @@ class MntReconstructor:
             list(trace.received) if isinstance(trace, TraceBundle) else list(trace)
         )
         index = TraceIndex(packets, omega_ms=self.config.omega_ms)
-        intervals = trivial_intervals(index)
+        space = index.key_space
+        lows, highs = trivial_intervals(index)
         if self.config.propagate:
-            propagate_path_monotonicity(index, intervals)
+            propagate_path_monotonicity(space, lows, highs)
 
         brackets = 0
         rounds = self.config.refinement_rounds if self.config.propagate else 1
         for _ in range(max(1, rounds)):
-            tightened = self._apply_brackets(index, intervals)
+            tightened = self._apply_brackets(space, lows, highs)
             brackets += tightened
             if self.config.propagate:
-                tightened += propagate_path_monotonicity(index, intervals)
-            clip_to_valid(intervals)
+                tightened += propagate_path_monotonicity(space, lows, highs)
+            clip_to_valid(lows, highs)
             if tightened == 0:
                 break
         return MntReconstruction(
-            intervals=intervals,
+            intervals=KeyIntervals(space, lows, highs),
             index=index,
             stats={"bracket_tightenings": brackets},
         )
@@ -126,69 +129,65 @@ class MntReconstructor:
     # ------------------------------------------------------------------
 
     def _apply_brackets(
-        self, index: TraceIndex, intervals: dict[ArrivalKey, Interval]
+        self, space: KeySpace, lows: list[float], highs: list[float]
     ) -> int:
         """One pass of local-packet bracketing at every forwarder."""
         omega = self.config.omega_ms
+        packets = space.packets
         tightened = 0
-        for node, visits in index.node_visits.items():
+        for node, (keys, _, owners) in space.visits.items():
             # MNT's departure-order estimate: sink arrival order.
-            ordered = sorted(visits, key=lambda item: item[0].sink_arrival_ms)
+            ordered = sorted(
+                zip(keys, owners), key=lambda visit: space.sink[visit[1]]
+            )
             # Positions of this node's local packets in that order.
             local_positions = [
                 i
-                for i, (packet, hop) in enumerate(ordered)
-                if hop == 0 and packet.packet_id.source == node
+                for i, (key, owner) in enumerate(ordered)
+                if space.hop[key] == 0 and space.source[owner] == node
             ]
             if not local_positions:
                 continue
-            for position, (packet, hop) in enumerate(ordered):
-                if hop == 0 and packet.packet_id.source == node:
+            for position, (arrive, owner) in enumerate(ordered):
+                if space.hop[arrive] == 0 and space.source[owner] == node:
                     continue  # local packets are their own anchors
-                before = [i for i in local_positions if i < position]
-                after = [i for i in local_positions if i > position]
-                arrive_key = ArrivalKey(packet.packet_id, hop)
-                depart_key = ArrivalKey(packet.packet_id, hop + 1)
-                if before:
-                    l_before = ordered[before[-1]][0]
+                depart = arrive + 1
+                split = bisect.bisect_left(local_positions, position)
+                if split > 0:
+                    l_before = packets[ordered[local_positions[split - 1]][1]]
                     # p departed after l_before's departure (>= t0 + omega)
                     tightened += _raise_lower(
-                        intervals, depart_key,
-                        l_before.generation_time_ms + omega,
+                        lows, depart, l_before.generation_time_ms + omega
                     )
                     # FIFO: p was enqueued after l_before was generated.
                     tightened += _raise_lower(
-                        intervals, arrive_key, l_before.generation_time_ms
+                        lows, arrive, l_before.generation_time_ms
                     )
-                if after:
-                    l_after = ordered[after[0]][0]
+                if split < len(local_positions):
+                    l_after = packets[ordered[local_positions[split]][1]]
                     remaining = l_after.path_length - 2
                     departure_cap = (
                         l_after.sink_arrival_ms - max(0, remaining) * omega
                     )
-                    tightened += _lower_upper(
-                        intervals, depart_key, departure_cap
-                    )
+                    tightened += _lower_upper(highs, depart, departure_cap)
                     # p was enqueued before l_after was generated... no:
                     # before l_after *departed*; generation is the sound cap
                     # on l_after's enqueue, and FIFO gives arrival order.
                     tightened += _lower_upper(
-                        intervals, arrive_key, l_after.generation_time_ms
+                        highs, arrive, l_after.generation_time_ms
                     )
         return tightened
 
 
-def _raise_lower(intervals, key, value) -> int:
-    lo, hi = intervals[key]
-    if value > lo:
-        intervals[key] = (value, hi)
+def _raise_lower(lows: list[float], key: int, value: float) -> int:
+    if value > lows[key]:
+        lows[key] = value
         return 1
     return 0
 
 
-def _lower_upper(intervals, key, value) -> int:
-    lo, hi = intervals[key]
-    if value < hi:
-        intervals[key] = (lo, value)
+def _lower_upper(highs: list[float], key: int, value: float) -> int:
+    if value < highs[key]:
+        highs[key] = value
         return 1
     return 0

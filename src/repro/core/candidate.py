@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.records import TraceIndex
-from repro.sim.packet import PacketId
+from repro.core.records import KeySpace, TraceIndex
 from repro.sim.trace import ReceivedPacket
 
 
@@ -44,6 +43,45 @@ class CandidateSets:
                 raise ValueError("C*(p) must be a subset of C(p)")
 
 
+def candidate_keys(
+    space: KeySpace, position: int
+) -> tuple[int, list[int], list[int]] | None:
+    """C(p) / C*(p) of the packet at ``position`` as visit key ids.
+
+    Each id is a candidate's arrival at ``N_0(p)``, so its delay there is
+    ``t[id + 1] - t[id]``. Returns ``(previous_local position, possible,
+    guaranteed)``, or None when the packet is its source's first received
+    packet (no previous local packet to delimit the accumulator window).
+    """
+    previous = space.previous[position]
+    if previous < 0:
+        return None
+    source = space.source[position]
+    t0, sink, sources = space.t0, space.sink, space.source
+    t0_p = t0[position]
+    t0_q = t0[previous]
+    possible: list[int] = []
+    guaranteed: list[int] = []
+    keys, _, owners = space.visits.get(source, ((), (), ()))
+    for key, owner in zip(keys, owners):
+        # Other local packets of the source (q and p included) reset the
+        # accumulator when they depart, so their delays are never part of
+        # S(p). (With no seqno gap there are none between q and p anyway;
+        # earlier/later ones fail the time conditions, but be explicit.)
+        if sources[owner] == source:
+            continue
+        # Condition 2: generated before p.
+        if t0[owner] >= t0_p:
+            continue
+        # Condition 3: delivered after q was generated.
+        if sink[owner] <= t0_q:
+            continue
+        possible.append(key)
+        if t0[owner] >= t0_q and sink[owner] <= t0_p:
+            guaranteed.append(key)
+    return previous, possible, guaranteed
+
+
 def compute_candidate_sets(
     index: TraceIndex, packet: ReceivedPacket
 ) -> CandidateSets | None:
@@ -52,44 +90,28 @@ def compute_candidate_sets(
     Returns None when ``packet`` is the first received packet of its
     source (no previous local packet to delimit the accumulator window).
     """
-    previous = index.previous_local_packet(packet)
-    if previous is None:
+    space = index.key_space
+    position = space.position.get(packet.packet_id)
+    if position is None:
+        raise ValueError(f"{packet.packet_id} is not in this index")
+    found = candidate_keys(space, position)
+    if found is None:
         return None
-    source = packet.packet_id.source
-    t0_p = packet.generation_time_ms
-    t0_q = previous.generation_time_ms
-    excluded: set[PacketId] = {packet.packet_id, previous.packet_id}
+    previous, possible, guaranteed = found
 
-    possible: list[tuple[ReceivedPacket, int]] = []
-    guaranteed: list[tuple[ReceivedPacket, int]] = []
-    for candidate, hop in index.node_visits.get(source, []):
-        if candidate.packet_id in excluded:
-            continue
-        # Other local packets of the source reset the accumulator when
-        # they depart, so their delays are never part of S(p). (With no
-        # seqno gap there are none between q and p anyway; earlier/later
-        # ones fail the time conditions, but be explicit.)
-        if candidate.packet_id.source == source:
-            continue
-        # Condition 2: generated before p.
-        if candidate.generation_time_ms >= t0_p:
-            continue
-        # Condition 3: delivered after q was generated.
-        if candidate.sink_arrival_ms <= t0_q:
-            continue
-        possible.append((candidate, hop))
-        if (
-            candidate.generation_time_ms >= t0_q
-            and candidate.sink_arrival_ms <= t0_p
-        ):
-            guaranteed.append((candidate, hop))
+    def visits(keys: list[int]) -> list[tuple[ReceivedPacket, int]]:
+        return [
+            (space.packets[space.position_of_key[key]], space.hop[key])
+            for key in keys
+        ]
 
+    previous_packet = space.packets[previous]
     return CandidateSets(
         packet=packet,
-        previous_local=previous,
-        possible=possible,
-        guaranteed=guaranteed,
-        anchored=not index.has_seqno_gap(previous, packet),
+        previous_local=previous_packet,
+        possible=visits(possible),
+        guaranteed=visits(guaranteed),
+        anchored=not index.has_seqno_gap(previous_packet, packet),
     )
 
 

@@ -15,22 +15,32 @@ FIFO handling. Eq. (1) — ``(t_ix(x) - t_iy(y)) (t_ix+1(x) - t_iy+1(y)) > 0``
   point.
 * **SDR**: pairs whose direction cannot be proven are returned in
   ``fifo_unresolved`` and handled by :mod:`repro.core.sdr` (Eq. (2)-(4)).
+
+The build runs over the index's integer :class:`~repro.core.records.KeySpace`:
+intervals are two float lists, FIFO pairs three int lists, and rows go
+straight into the builder's CSR lists — order rows, then FIFO rows, then
+sum rows, each folding its known times into its bounds term by term, so
+equal inputs give bit-identical systems. :class:`ArrivalKey`,
+:class:`FifoPair`, row objects and tag strings are made only when a
+caller reads them through the system's views.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
-from repro.core.candidate import compute_candidate_sets, loss_evidence
+from repro.core.candidate import candidate_keys, loss_evidence
 from repro.core.intervals import (
-    Interval,
+    KeyIntervals,
     clip_to_valid,
     propagate_path_monotonicity,
     trivial_intervals,
 )
-from repro.core.records import ArrivalKey, TraceIndex
+from repro.core.records import ArrivalKey, KeySpace, TraceIndex
 from repro.constants import INF
-from repro.optim.modeling import ConstraintBuilder, VariableRegistry
+from repro.optim.modeling import ConstraintBuilder, Deferred, VariableRegistry
 
 
 @dataclass(frozen=True)
@@ -102,14 +112,18 @@ class ConstraintConfig:
 
 @dataclass
 class ConstraintSystem:
-    """The assembled constraint set over one packet collection."""
+    """The assembled constraint set over one packet collection.
+
+    ``variables``, ``intervals`` and the FIFO lists are views over the
+    integer build: their keys and pairs are made on first read.
+    """
 
     index: TraceIndex
     variables: VariableRegistry
     builder: ConstraintBuilder
-    intervals: dict[ArrivalKey, Interval]
-    fifo_resolved: list[FifoPair] = field(default_factory=list)
-    fifo_unresolved: list[FifoPair] = field(default_factory=list)
+    intervals: KeyIntervals
+    fifo_resolved: Sequence[FifoPair] = field(default_factory=list)
+    fifo_unresolved: Sequence[FifoPair] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
 
     @property
@@ -120,45 +134,46 @@ class ConstraintSystem:
         """Column of an unknown key (None for known arrival times)."""
         return self.variables.get(key)
 
-    def variable_bounds(self):
+    def variable_bounds(self) -> tuple[list[float], list[float]]:
         """Per-variable interval bounds aligned with the registry order."""
-        lows, highs = [], []
-        for key in self.variables:
-            lo, hi = self.intervals[key]
-            lows.append(lo)
-            highs.append(hi)
-        return lows, highs
+        lows, highs = self.intervals.lows, self.intervals.highs
+        unknown = self.index.key_space.unknown
+        return [lows[k] for k in unknown], [highs[k] for k in unknown]
 
-    def add_row(
-        self,
-        terms: dict[ArrivalKey, float],
-        lower: float = -INF,
-        upper: float = INF,
-        tag: str = "",
-    ) -> None:
-        """Add a row expressed over arrival keys; constants are folded.
 
-        Known arrival times contribute ``coeff * value`` to both bounds;
-        rows that become constant are checked and dropped.
-        """
-        folded: dict[int, float] = {}
-        shift = 0.0
-        for key, coefficient in terms.items():
-            column = self.variables.get(key)
-            if column is None:
-                shift += coefficient * self.index.known_value(key)
-            else:
-                folded[column] = folded.get(column, 0.0) + coefficient
-        new_lower = lower - shift if lower != -INF else -INF
-        new_upper = upper - shift if upper != INF else INF
-        if not folded:
-            # Fully known: tolerate small violations (quantization noise).
-            if new_lower > 1e-6 or new_upper < -1e-6:
-                self.stats["inconsistent_known_rows"] = (
-                    self.stats.get("inconsistent_known_rows", 0) + 1
-                )
-            return
-        self.builder.add(folded, lower=new_lower, upper=new_upper, tag=tag)
+class KeyColumns(VariableRegistry):
+    """The index's unknown keys in column order, made on first use."""
+
+    def __init__(self, space: KeySpace) -> None:
+        self._space = space
+
+    def __len__(self) -> int:
+        return len(self._space.unknown)
+
+    @cached_property
+    def _keys(self) -> list[ArrivalKey]:
+        return [self._space.arrival_key(k) for k in self._space.unknown]
+
+    @cached_property
+    def _index(self) -> dict[ArrivalKey, int]:
+        return {key: column for column, key in enumerate(self._keys)}
+
+
+# Row tags are stored as ``4 * argument + family`` and spelled out only
+# when read: order rows carry the later key id, FIFO rows the node, sum
+# rows the packet position.
+_ORDER, _FIFO, _SUM_LO, _SUM_HI = range(4)
+
+
+def _tag_name(space: KeySpace, code: int) -> str:
+    argument, family = divmod(code, 4)
+    if family == _ORDER:
+        packet = space.packets[space.position_of_key[argument]]
+        return f"order:{packet.packet_id}:{space.hop[argument]}"
+    if family == _FIFO:
+        return f"fifo:{argument}"
+    prefix = "sum_lo" if family == _SUM_LO else "sum_hi"
+    return f"{prefix}:{space.packets[argument].packet_id}"
 
 
 def build_constraints(
@@ -166,181 +181,159 @@ def build_constraints(
 ) -> ConstraintSystem:
     """Assemble the full constraint system for the packets in ``index``."""
     config = config or ConstraintConfig()
-    variables = VariableRegistry()
-    for key in index.unknown_keys():
-        variables.add(key)
+    space = index.key_space
+    lows, highs = trivial_intervals(index)
+    nodes, xs, ys = space.visit_pairs(
+        config.fifo_horizon_ms,
+        config.max_fifo_pairs_per_visit,
+        include_horizon=True,
+    )
+    arrival_margins = [
+        config.fifo_arrival_margin_ms
+        if space.hop[x] > 0 and space.hop[y] > 0
+        else 0.0
+        for x, y in zip(xs, ys)
+    ]
+    directions = _resolve_fifo_pairs(
+        space, xs, ys, arrival_margins, lows, highs, config
+    )
+    builder = ConstraintBuilder(
+        num_variables=len(space.unknown), tag_names=partial(_tag_name, space)
+    )
+    stats: dict = {}
+    rows = _RowWriter(space, builder, stats)
+    _add_order_rows(rows, space, config)
+    _add_fifo_rows(rows, nodes, xs, ys, directions, arrival_margins, config)
+    _add_sum_rows(rows, index, config)
+
+    def pairs(resolved: bool) -> Deferred:
+        chosen = [i for i, d in enumerate(directions) if (d != 0) == resolved]
+        return Deferred(
+            len(chosen),
+            partial(_fifo_pairs, space, nodes, xs, ys, directions, chosen),
+        )
+
     system = ConstraintSystem(
         index=index,
-        variables=variables,
-        builder=ConstraintBuilder(num_variables=len(variables)),
-        intervals=trivial_intervals(index),
+        variables=KeyColumns(space),
+        builder=builder,
+        intervals=KeyIntervals(space, lows, highs),
+        fifo_resolved=pairs(resolved=True),
+        fifo_unresolved=pairs(resolved=False),
+        stats=stats,
     )
-    _resolve_fifo_pairs(system, config)
-    _add_order_rows(system, config)
-    _add_fifo_rows(system, config)
-    _add_sum_rows(system, config)
-    system.stats.update(
-        unknowns=len(variables),
-        rows=len(system.builder),
+    stats.update(
+        unknowns=len(space.unknown),
+        rows=len(builder),
         fifo_resolved=len(system.fifo_resolved),
         fifo_unresolved=len(system.fifo_unresolved),
     )
     return system
 
 
-# ----------------------------------------------------------------------
-# FIFO pair enumeration and resolution
-# ----------------------------------------------------------------------
-
-
-def _enumerate_fifo_pairs(
-    index: TraceIndex, config: ConstraintConfig
+def _fifo_pairs(
+    space: KeySpace,
+    nodes: list[int],
+    xs: list[int],
+    ys: list[int],
+    directions: list[int],
+    chosen: list[int],
 ) -> list[FifoPair]:
-    """All same-node packet pairs within the generation-time horizon."""
-    pairs: list[FifoPair] = []
-    for node, visits in index.node_visits.items():
-        ordered = sorted(
-            visits, key=lambda item: item[0].generation_time_ms
+    """The chosen pairs as :class:`FifoPair` objects."""
+    key = space.arrival_key
+    return [
+        FifoPair(
+            node=nodes[i],
+            x_at=key(xs[i]),
+            y_at=key(ys[i]),
+            x_next=key(xs[i] + 1),
+            y_next=key(ys[i] + 1),
+            direction=directions[i],
         )
-        for i, (x, hop_x) in enumerate(ordered):
-            taken = 0
-            for y, hop_y in ordered[i + 1:]:
-                gap = y.generation_time_ms - x.generation_time_ms
-                if gap > config.fifo_horizon_ms:
-                    break
-                if taken >= config.max_fifo_pairs_per_visit:
-                    break
-                if x.packet_id == y.packet_id:
-                    continue
-                taken += 1
-                pairs.append(
-                    FifoPair(
-                        node=node,
-                        x_at=ArrivalKey(x.packet_id, hop_x),
-                        y_at=ArrivalKey(y.packet_id, hop_y),
-                        x_next=ArrivalKey(x.packet_id, hop_x + 1),
-                        y_next=ArrivalKey(y.packet_id, hop_y + 1),
-                    )
-                )
-    return pairs
+        for i in chosen
+    ]
 
 
-def _try_resolve(
-    pair: FifoPair, intervals: dict[ArrivalKey, Interval]
-) -> int:
-    """Direction of a pair provable from current intervals (0 if none)."""
-    x_lo, x_hi = intervals[pair.x_at]
-    y_lo, y_hi = intervals[pair.y_at]
-    xn_lo, xn_hi = intervals[pair.x_next]
-    yn_lo, yn_hi = intervals[pair.y_next]
-    if x_hi <= y_lo or xn_hi <= yn_lo:
-        return 1
-    if y_hi <= x_lo or yn_hi <= xn_lo:
-        return -1
-    return 0
-
-
-def _leg_margins(pair: FifoPair, config: ConstraintConfig) -> tuple[float, float]:
-    """(arrival-leg, departure-leg) margins for one pair.
-
-    The arrival margin only applies when *both* packets physically arrived
-    at the node over the radio; a locally generated packet (hop 0) can be
-    timestamped at any instant, so those pairs get margin 0. Departures
-    are always transmissions, so the departure margin always applies.
-    """
-    arrival = (
-        config.fifo_arrival_margin_ms
-        if pair.x_at.hop > 0 and pair.y_at.hop > 0
-        else 0.0
-    )
-    return arrival, config.fifo_departure_margin_ms
+# ----------------------------------------------------------------------
+# FIFO pair resolution
+# ----------------------------------------------------------------------
 
 
 def _apply_direction(
-    pair: FifoPair,
     direction: int,
-    intervals: dict[ArrivalKey, Interval],
+    x: int,
+    y: int,
+    margins: tuple[float, float],
+    lows: list[float],
+    highs: list[float],
+) -> None:
+    """Tighten both legs' intervals with a resolved ordering."""
+    early, late = (x, y) if direction == 1 else (y, x)
+    for leg, margin in enumerate(margins):
+        e, l = early + leg, late + leg
+        if highs[l] - margin < highs[e]:
+            highs[e] = highs[l] - margin
+        if lows[e] + margin > lows[l]:
+            lows[l] = lows[e] + margin
+
+
+def _resolve_fifo_pairs(
+    space: KeySpace,
+    xs: list[int],
+    ys: list[int],
+    arrival_margins: list[float],
+    lows: list[float],
+    highs: list[float],
     config: ConstraintConfig,
-) -> int:
-    """Tighten intervals with a resolved ordering; returns #tightenings."""
-    if direction == 1:
-        earlier = (pair.x_at, pair.x_next)
-        later = (pair.y_at, pair.y_next)
-    else:
-        earlier = (pair.y_at, pair.y_next)
-        later = (pair.x_at, pair.x_next)
-    tightened = 0
-    for (early_key, late_key), margin in zip(
-        zip(earlier, later), _leg_margins(pair, config)
-    ):
-        e_lo, e_hi = intervals[early_key]
-        l_lo, l_hi = intervals[late_key]
-        if l_hi - margin < e_hi:
-            intervals[early_key] = (e_lo, l_hi - margin)
-            tightened += 1
-        if e_lo + margin > l_lo:
-            intervals[late_key] = (e_lo + margin, l_hi)
-            tightened += 1
-    return tightened
+) -> list[int]:
+    """Iteratively resolve pair directions and tighten intervals.
 
-
-def _shared_suffix_direction(index: TraceIndex, pair: FifoPair) -> int:
-    """Sound resolution for pairs whose downstream paths coincide.
-
-    When x and y follow the *same node sequence* from the shared node all
-    the way to the sink, per-hop FIFO preserves their relative order at
-    every one of those hops, so the (known) sink arrival order equals the
-    departure order at the shared node.
+    Returns each pair's direction: ``+1`` when x provably precedes y,
+    ``-1`` for the converse, ``0`` when unresolved. The arrival margin
+    only applies when *both* packets physically arrived at the node over
+    the radio (a locally generated packet can be timestamped at any
+    instant); departures are always transmissions.
     """
-    x = index.by_id[pair.x_at.packet_id]
-    y = index.by_id[pair.y_at.packet_id]
-    if x.path[pair.x_at.hop:] != y.path[pair.y_at.hop:]:
-        return 0
-    return 1 if x.sink_arrival_ms < y.sink_arrival_ms else -1
-
-
-def _resolve_fifo_pairs(system: ConstraintSystem, config: ConstraintConfig):
-    """Iteratively resolve pair directions and tighten intervals."""
-    index = system.index
-    pairs = _enumerate_fifo_pairs(index, config)
-    directions: dict[int, int] = {}
-    propagate_path_monotonicity(index, system.intervals)
-    # First pass: structural resolution via shared downstream paths.
-    for pair_id, pair in enumerate(pairs):
-        direction = _shared_suffix_direction(index, pair)
-        if direction != 0:
-            directions[pair_id] = direction
-            _apply_direction(pair, direction, system.intervals, config)
-    propagate_path_monotonicity(index, system.intervals)
-    clip_to_valid(system.intervals)
+    departure = config.fifo_departure_margin_ms
+    directions = [0] * len(xs)
+    propagate_path_monotonicity(space, lows, highs)
+    # First pass: structural resolution via shared downstream paths. When
+    # x and y follow the *same node sequence* from the shared node to the
+    # sink, per-hop FIFO preserves their order at every one of those
+    # hops, so the (known) sink arrival order is the departure order.
+    packets, position, hop = space.packets, space.position_of_key, space.hop
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        px, py = packets[position[x]], packets[position[y]]
+        if px.path[hop[x]:] != py.path[hop[y]:]:
+            continue
+        direction = 1 if px.sink_arrival_ms < py.sink_arrival_ms else -1
+        directions[i] = direction
+        _apply_direction(
+            direction, x, y, (arrival_margins[i], departure), lows, highs
+        )
+    propagate_path_monotonicity(space, lows, highs)
+    clip_to_valid(lows, highs)
     for _ in range(max(1, config.resolution_rounds)):
         progress = 0
-        for pair_id, pair in enumerate(pairs):
-            if directions.get(pair_id, 0) != 0:
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            if directions[i] != 0:
                 continue
-            direction = _try_resolve(pair, system.intervals)
-            if direction != 0:
-                directions[pair_id] = direction
-                progress += 1
-                _apply_direction(pair, direction, system.intervals, config)
-        propagate_path_monotonicity(index, system.intervals)
-        clip_to_valid(system.intervals)
+            if highs[x] <= lows[y] or highs[x + 1] <= lows[y + 1]:
+                direction = 1
+            elif highs[y] <= lows[x] or highs[y + 1] <= lows[x + 1]:
+                direction = -1
+            else:
+                continue
+            directions[i] = direction
+            progress += 1
+            _apply_direction(
+                direction, x, y, (arrival_margins[i], departure), lows, highs
+            )
+        propagate_path_monotonicity(space, lows, highs)
+        clip_to_valid(lows, highs)
         if progress == 0:
             break
-    for pair_id, pair in enumerate(pairs):
-        direction = directions.get(pair_id, 0)
-        resolved_pair = FifoPair(
-            node=pair.node,
-            x_at=pair.x_at,
-            y_at=pair.y_at,
-            x_next=pair.x_next,
-            y_next=pair.y_next,
-            direction=direction,
-        )
-        if direction == 0:
-            system.fifo_unresolved.append(resolved_pair)
-        else:
-            system.fifo_resolved.append(resolved_pair)
+    return directions
 
 
 # ----------------------------------------------------------------------
@@ -348,78 +341,145 @@ def _resolve_fifo_pairs(system: ConstraintSystem, config: ConstraintConfig):
 # ----------------------------------------------------------------------
 
 
-def _add_order_rows(system: ConstraintSystem, config: ConstraintConfig):
-    """Eq. (5): consecutive arrival times separated by at least omega."""
-    for packet in system.index.packets:
-        keys = system.index.keys_of(packet)
-        for prev_key, key in zip(keys, keys[1:]):
-            system.add_row(
-                {key: 1.0, prev_key: -1.0},
-                lower=config.omega_ms,
-                tag=f"order:{packet.packet_id}:{key.hop}",
+class _RowWriter:
+    """Folds rows over key ids into the builder's CSR lists.
+
+    Known arrival times contribute ``coeff * value`` to both bounds, in
+    term order; rows that become constant are checked and dropped.
+    """
+
+    def __init__(
+        self, space: KeySpace, builder: ConstraintBuilder, stats: dict
+    ) -> None:
+        self.column = space.column
+        self.value = space.value
+        self.builder = builder
+        self.stats = stats
+
+    def _constant(self, lower: float, upper: float) -> None:
+        # Fully known: tolerate small violations (quantization noise).
+        if lower > 1e-6 or upper < -1e-6:
+            self.stats["inconsistent_known_rows"] = (
+                self.stats.get("inconsistent_known_rows", 0) + 1
             )
 
-
-def _add_fifo_rows(system: ConstraintSystem, config: ConstraintConfig):
-    """Linear rows for every resolved FIFO pair (both hops)."""
-    for pair in system.fifo_resolved:
-        if pair.direction == 1:
-            first = (pair.x_at, pair.x_next)
-            second = (pair.y_at, pair.y_next)
+    def difference(self, late: int, early: int, lower: float, tag: int) -> None:
+        """``t[late] - t[early] >= lower``, appended to the CSR lists."""
+        c_late = self.column[late]
+        c_early = self.column[early]
+        shift = 0.0
+        if c_late < 0:
+            shift += self.value[late]
+        if c_early < 0:
+            shift -= self.value[early]
+        builder = self.builder
+        indices, data = builder.indices, builder.data
+        if c_late < 0:
+            if c_early < 0:
+                self._constant(lower - shift, INF)
+                return
+            indices.append(c_early)
+            data.append(-1.0)
+        elif c_early < 0:
+            indices.append(c_late)
+            data.append(1.0)
+        elif c_early < c_late:
+            indices += (c_early, c_late)
+            data += (-1.0, 1.0)
         else:
-            first = (pair.y_at, pair.y_next)
-            second = (pair.x_at, pair.x_next)
-        for (early, late), margin in zip(
-            zip(first, second), _leg_margins(pair, config)
-        ):
-            system.add_row(
-                {late: 1.0, early: -1.0},
-                lower=margin,
-                tag=f"fifo:{pair.node}",
-            )
+            indices += (c_late, c_early)
+            data += (1.0, -1.0)
+        builder.indptr.append(len(indices))
+        builder.lower.append(lower - shift)
+        builder.upper.append(INF)
+        builder.tags.append(tag)
+
+    def terms(
+        self, terms: dict[int, float], lower: float, upper: float, tag: int
+    ) -> None:
+        """``lower <= sum(coeff * t[key]) <= upper`` over distinct keys."""
+        folded: dict[int, float] = {}
+        shift = 0.0
+        for key, coefficient in terms.items():
+            column = self.column[key]
+            if column < 0:
+                shift += coefficient * self.value[key]
+            else:
+                folded[column] = coefficient
+        lower = lower - shift if lower != -INF else -INF
+        upper = upper - shift if upper != INF else INF
+        if not folded:
+            self._constant(lower, upper)
+            return
+        self.builder.add(folded, lower=lower, upper=upper, tag=tag)
 
 
-def _add_sum_rows(system: ConstraintSystem, config: ConstraintConfig):
+def _add_order_rows(rows: _RowWriter, space: KeySpace, config: ConstraintConfig):
+    """Eq. (5): consecutive arrival times separated by at least omega."""
+    offsets = space.offsets
+    for first, end in zip(offsets, offsets[1:]):
+        for key in range(first + 1, end):
+            rows.difference(key, key - 1, config.omega_ms, 4 * key + _ORDER)
+
+
+def _add_fifo_rows(
+    rows: _RowWriter,
+    nodes: list[int],
+    xs: list[int],
+    ys: list[int],
+    directions: list[int],
+    arrival_margins: list[float],
+    config: ConstraintConfig,
+):
+    """Linear rows for every resolved FIFO pair (both hops)."""
+    departure = config.fifo_departure_margin_ms
+    for node, x, y, direction, arrival in zip(
+        nodes, xs, ys, directions, arrival_margins
+    ):
+        if direction == 0:
+            continue
+        early, late = (x, y) if direction == 1 else (y, x)
+        tag = 4 * node + _FIFO
+        rows.difference(late, early, arrival, tag)
+        rows.difference(late + 1, early + 1, departure, tag)
+
+
+def _add_sum_rows(rows: _RowWriter, index: TraceIndex, config: ConstraintConfig):
     """Eq. (6)/(7): bracket each S(p) by candidate-set delay sums.
 
     Degradation hooks (robustness tier): packets whose S(p) was flagged
     by validation contribute no sum rows at all; with ``loss_aware_sums``
     and loss evidence in the window, the loss-unsafe Eq. (6) rows are
     suppressed (C*(p)-only degradation). Both events are counted in
-    ``system.stats``.
+    the system's stats.
     """
+    space = index.key_space
     emitted_lower = emitted_upper = 0
     distrusted_skips = degraded_upper = 0
     unanchored = 0
-    suppress_upper = (
-        config.loss_aware_sums and loss_evidence(system.index) > 0
-    )
-    for packet in system.index.packets:
+    suppress_upper = config.loss_aware_sums and loss_evidence(index) > 0
+    for position, packet in enumerate(space.packets):
         if packet.packet_id in config.distrusted_sum_ids:
             distrusted_skips += 1
             continue
-        sets = compute_candidate_sets(system.index, packet)
-        if sets is None:
+        found = candidate_keys(space, position)
+        if found is None:
             continue
-        if not sets.anchored:
+        previous, possible, guaranteed = found
+        if index.has_seqno_gap(space.packets[previous], packet):
             unanchored += 1
             continue
-        own_terms = {
-            ArrivalKey(packet.packet_id, 1): 1.0,
-            ArrivalKey(packet.packet_id, 0): -1.0,
-        }
         if packet.path_length < 2:
             continue
+        offset = space.offsets[position]
         s_value = float(packet.sum_of_delays_ms)
 
         # Eq. (7): S(p) >= D(p) + sum over C*(p). Always sound.
-        terms = dict(own_terms)
-        for candidate, hop in sets.guaranteed:
-            _accumulate_delay_terms(terms, candidate.packet_id, hop)
-        system.add_row(
-            terms,
-            upper=s_value + config.sum_slack_ms,
-            tag=f"sum_lo:{packet.packet_id}",
+        rows.terms(
+            _delay_terms(offset, guaranteed),
+            -INF,
+            s_value + config.sum_slack_ms,
+            4 * position + _SUM_LO,
         )
         emitted_lower += 1
 
@@ -427,32 +487,31 @@ def _add_sum_rows(system: ConstraintSystem, config: ConstraintConfig):
         # kept optional, size-capped, and suppressed under loss evidence.
         if (
             config.use_upper_sum
-            and len(sets.possible) <= config.max_possible_set
+            and len(possible) <= config.max_possible_set
         ):
             if suppress_upper:
                 degraded_upper += 1
                 continue
-            terms = dict(own_terms)
-            for candidate, hop in sets.possible:
-                _accumulate_delay_terms(terms, candidate.packet_id, hop)
-            system.add_row(
-                terms,
-                lower=s_value - config.sum_slack_ms,
-                tag=f"sum_hi:{packet.packet_id}",
+            rows.terms(
+                _delay_terms(offset, possible),
+                s_value - config.sum_slack_ms,
+                INF,
+                4 * position + _SUM_HI,
             )
             emitted_upper += 1
-    system.stats["sum_lower_rows"] = emitted_lower
-    system.stats["sum_upper_rows"] = emitted_upper
-    system.stats["sum_rows_distrusted"] = distrusted_skips
-    system.stats["sum_upper_degraded"] = degraded_upper
-    system.stats["sum_unanchored"] = unanchored
+    stats = rows.stats
+    stats["sum_lower_rows"] = emitted_lower
+    stats["sum_upper_rows"] = emitted_upper
+    stats["sum_rows_distrusted"] = distrusted_skips
+    stats["sum_upper_degraded"] = degraded_upper
+    stats["sum_unanchored"] = unanchored
 
 
-def _accumulate_delay_terms(
-    terms: dict[ArrivalKey, float], packet_id, hop: int
-) -> None:
-    """Add ``D = t[hop+1] - t[hop]`` of a packet into a row's terms."""
-    arrive = ArrivalKey(packet_id, hop)
-    depart = ArrivalKey(packet_id, hop + 1)
-    terms[depart] = terms.get(depart, 0.0) + 1.0
-    terms[arrive] = terms.get(arrive, 0.0) - 1.0
+def _delay_terms(offset: int, visits: list[int]) -> dict[int, float]:
+    """``D(p) + sum of D = t[hop+1] - t[hop]`` over candidate visits, as
+    key id -> coefficient (``p``'s first hop starts at ``offset``)."""
+    terms = {offset + 1: 1.0, offset: -1.0}
+    for arrive in visits:
+        terms[arrive + 1] = terms.get(arrive + 1, 0.0) + 1.0
+        terms[arrive] = terms.get(arrive, 0.0) - 1.0
+    return terms

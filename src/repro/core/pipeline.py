@@ -22,9 +22,9 @@ import time
 from dataclasses import dataclass, field, replace
 
 from repro.backends import CsConfig, DEFAULT_BACKEND, backend_names
+from repro.backends.domo_qp import EstimatorConfig
 from repro.core.bounds import BoundComputer, BoundResult, BoundsConfig
 from repro.core.constraints import ConstraintConfig, build_constraints
-from repro.core.estimator import EstimatorConfig
 from repro.core.preprocessor import choose_window_span
 from repro.core.records import ArrivalKey, TraceIndex, assemble_arrival_vector
 from repro.core.sdr import SdrConfig
@@ -46,15 +46,15 @@ def constraint_config_for(
     """The effective constraint config for one reconstruction run.
 
     Shared by the batch entry points and the streaming engine so both
-    arm the same degradations: ``fifo_mode="none"`` suppresses pair
-    resolution via an empty horizon, and detected corruption switches
+    arm the same degradations: ``fifo_mode="none"`` enumerates no FIFO
+    pairs (a zero per-visit cap), and detected corruption switches
     on the constraint-level fallbacks (flagged S(p) fields emit no sum
     rows; quarantined packets — known loss — downgrade Eq. (6) to the
     loss-tolerant C*(p)-only Eq. (7) form).
     """
     cfg = config.constraints
     if config.fifo_mode == "none":
-        cfg = replace(cfg, fifo_horizon_ms=0.0)
+        cfg = replace(cfg, max_fifo_pairs_per_visit=0)
     if report is not None and not report.clean:
         cfg = replace(
             cfg,

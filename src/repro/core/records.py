@@ -7,12 +7,18 @@ every ``(packet, hop)`` pair and provides the *trivial interval* each
 arrival time must lie in given only the order constraint (Eq. (5)):
 
     t_0(p) + i*omega  <=  t_i(p)  <=  t_sink(p) - (|p|-1-i)*omega
+
+The constraint build and the solvers work over :class:`KeySpace`, the
+index's integer numbering of the same arrival times; :class:`ArrivalKey`
+objects are made only where a caller asks for keyed results.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from repro.sim.packet import PacketId
@@ -100,6 +106,12 @@ class TraceIndex:
             visits.insert(position, (packet, hop))
         own = self._by_source.setdefault(packet.packet_id.source, [])
         bisect.insort(own, packet, key=lambda p: p.packet_id.seqno)
+        self.__dict__.pop("key_space", None)
+
+    @cached_property
+    def key_space(self) -> "KeySpace":
+        """Integer ids of every arrival time (built on first use)."""
+        return KeySpace(self)
 
     # ------------------------------------------------------------------
     # Classification
@@ -189,6 +201,141 @@ class TraceIndex:
         ``previous`` soundly.
         """
         return packet.packet_id.seqno != previous.packet_id.seqno + 1
+
+
+class KeySpace:
+    """Integer ids for the arrival times of one :class:`TraceIndex`.
+
+    The key id of ``t_hop(p)`` is ``offsets[i] + hop``, where ``i`` is
+    ``p``'s position in ``index.packets``, so a packet's keys are
+    consecutive and ``k + 1`` is the next hop of key ``k``. Per key the
+    space records its solver column (``-1`` when the sink knows the time),
+    its known value (NaN for unknowns) and its Eq. (5) trivial interval,
+    computed exactly as :meth:`TraceIndex.trivial_interval` does. Columns
+    follow :meth:`TraceIndex.unknown_keys`.
+    """
+
+    def __init__(self, index: TraceIndex) -> None:
+        self.omega_ms = omega = index.omega_ms
+        self.packets = packets = index.packets
+        #: per position, plus a final sentinel: packet i owns key ids
+        #: ``offsets[i] .. offsets[i + 1] - 1``.
+        self.offsets: list[int] = []
+        self.position_of_key: list[int] = []
+        self.hop: list[int] = []
+        self.column: list[int] = []
+        self.value: list[float] = []
+        self.low: list[float] = []
+        self.high: list[float] = []
+        #: column -> key id.
+        self.unknown: list[int] = []
+        #: node -> (visit key ids, their packets' t0, their positions):
+        #: nodes in first-visit order, visits in (t0, source, seqno, hop)
+        #: order, as the constructor lays out ``index.node_visits``.
+        self.visits: dict[int, tuple[list[int], list[float], list[int]]] = {}
+        self.t0 = [p.generation_time_ms for p in packets]
+        self.sink = [p.sink_arrival_ms for p in packets]
+        self.source = [p.packet_id.source for p in packets]
+        column, value, low, high = self.column, self.value, self.low, self.high
+        for position, packet in enumerate(packets):
+            offset = len(column)
+            self.offsets.append(offset)
+            t0 = packet.generation_time_ms
+            sink = packet.sink_arrival_ms
+            last = packet.path_length - 1
+            self.position_of_key.extend([position] * (last + 1))
+            self.hop.extend(range(last + 1))
+            for hop, node in enumerate(packet.path):
+                if hop == 0 or hop == last:
+                    known = t0 if hop == 0 else sink
+                    column.append(-1)
+                    value.append(known)
+                    low.append(known)
+                    high.append(known)
+                else:
+                    column.append(len(self.unknown))
+                    self.unknown.append(offset + hop)
+                    value.append(math.nan)
+                    low.append(t0 + hop * omega)
+                    high.append(sink - (last - hop) * omega)
+                if hop < last:
+                    visits = self.visits.get(node)
+                    if visits is None:
+                        visits = self.visits[node] = ([], [], [])
+                    visits[0].append(offset + hop)
+                    visits[1].append(t0)
+                    visits[2].append(position)
+        self.offsets.append(len(column))
+        #: position -> position of the source's previous received packet
+        #: (by seqno), or -1 for its first.
+        self.previous = [-1] * len(packets)
+        position = self.position
+        for own in index._by_source.values():
+            for earlier, later in zip(own, own[1:]):
+                self.previous[position[later.packet_id]] = position[
+                    earlier.packet_id
+                ]
+
+    @cached_property
+    def position(self) -> dict[PacketId, int]:
+        """packet id -> position in ``index.packets``."""
+        return {p.packet_id: i for i, p in enumerate(self.packets)}
+
+    def key_id(self, key: ArrivalKey) -> int:
+        """Id of an arrival key; KeyError when the index does not hold it."""
+        position = self.position[key.packet_id]
+        offset = self.offsets[position]
+        if not 0 <= key.hop < self.offsets[position + 1] - offset:
+            raise KeyError(key)
+        return offset + key.hop
+
+    def arrival_key(self, key_id: int) -> ArrivalKey:
+        """The :class:`ArrivalKey` of a key id (a new object per call)."""
+        return ArrivalKey(
+            self.packets[self.position_of_key[key_id]].packet_id,
+            self.hop[key_id],
+        )
+
+    def visit_pairs(
+        self, horizon_ms: float, max_per_visit: int, include_horizon: bool
+    ) -> tuple[list[int], list[int], list[int]]:
+        """Same-node visit pairs ``(node, x, y)`` as three parallel lists.
+
+        The one pair enumerator behind the FIFO constraints, Eq. (8) and
+        the SDR lift. Per node, visits are taken in (t0, source, seqno,
+        hop) order; each visit ``x`` pairs with the visits after it until
+        their t0 gap passes ``horizon_ms`` (a gap equal to it pairs only
+        with ``include_horizon``) or until it holds ``max_per_visit``
+        pairs. A packet revisiting the node does not pair with itself and
+        such a skip does not count against the cap. ``x`` and ``y`` are
+        the key ids of the two arrivals at the node.
+        """
+        nodes: list[int] = []
+        xs: list[int] = []
+        ys: list[int] = []
+        if max_per_visit <= 0:
+            return nodes, xs, ys
+        for node, (keys, t0s, owners) in self.visits.items():
+            count = len(keys)
+            for i in range(count - 1):
+                t0_x = t0s[i]
+                owner = owners[i]
+                taken = 0
+                for j in range(i + 1, count):
+                    gap = t0s[j] - t0_x
+                    if gap > horizon_ms or (
+                        gap == horizon_ms and not include_horizon
+                    ):
+                        break
+                    if owners[j] == owner:
+                        continue
+                    nodes.append(node)
+                    xs.append(keys[i])
+                    ys.append(keys[j])
+                    taken += 1
+                    if taken == max_per_visit:
+                        break
+        return nodes, xs, ys
 
 
 def assemble_arrival_vector(

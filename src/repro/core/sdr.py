@@ -29,7 +29,13 @@ import scipy.sparse as sp
 
 from repro.constants import INF
 from repro.core.constraints import ConstraintSystem
-from repro.backends.domo_qp import EstimatorConfig, enumerate_pairs, _linear_form
+from repro.backends.domo_qp import (
+    EstimatorConfig,
+    PAIR_COEFFICIENTS,
+    linear_form,
+    objective_pairs,
+    pair_form,
+)
 from repro.core.records import ArrivalKey
 from repro.optim.result import SolverError, SolverResult
 from repro.optim.sdp import PSDBlock, SDPProblem, SDPSettings, solve_sdp
@@ -209,12 +215,11 @@ def _solve_lifted(
     if objective is not None:
         q[:n] = np.asarray(objective, dtype=float)
     else:
-        for _, x_at, x_next, y_at, y_next in enumerate_pairs(
-            system, config.estimator
-        ):
-            form = {x_next: 1.0, x_at: -1.0, y_next: -1.0, y_at: 1.0}
-            columns, coefficients, constant = _linear_form(
-                system, form, t_ref, scale
+        space = system.index.key_space
+        _, xs, ys = objective_pairs(system, config.estimator)
+        for x, y in zip(xs, ys):
+            columns, coefficients, constant = pair_form(
+                space, x, y, t_ref, scale
             )
             if not columns:
                 continue
@@ -349,21 +354,19 @@ def _repair_order(system: ConstraintSystem, x: np.ndarray) -> np.ndarray:
     return repaired
 
 
-def _true_objective(system: ConstraintSystem, x: np.ndarray) -> float:
+def _true_objective(system: ConstraintSystem, x_vec: np.ndarray) -> float:
     """The unrelaxed Eq. (8) objective at a candidate point."""
     total = 0.0
-    estimator_config = EstimatorConfig()
-    for _, x_at, x_next, y_at, y_next in enumerate_pairs(
-        system, estimator_config
-    ):
-        form = {x_next: 1.0, x_at: -1.0, y_next: -1.0, y_at: 1.0}
+    space = system.index.key_space
+    _, xs, ys = objective_pairs(system, EstimatorConfig())
+    for x, y in zip(xs, ys):
         value = 0.0
-        for key, coefficient in form.items():
-            column = system.variables.get(key)
-            if column is None:
-                value += coefficient * system.index.known_value(key)
+        for key, coefficient in zip((x + 1, x, y + 1, y), PAIR_COEFFICIENTS):
+            column = space.column[key]
+            if column < 0:
+                value += coefficient * space.value[key]
             else:
-                value += coefficient * x[column]
+                value += coefficient * x_vec[column]
         total += value * value
     return total
 
@@ -377,11 +380,13 @@ def _add_lifted_product(
     system, lift, add_row, pair, t_ref, scale, config
 ) -> None:
     """Lift ``(t_xa - t_ya)(t_xn - t_yn) >= margin`` into (u, U) space."""
-    a_cols, a_coef, a_const = _linear_form(
-        system, {pair.x_at: 1.0, pair.y_at: -1.0}, t_ref, scale
+    space = system.index.key_space
+    x_at, y_at = space.key_id(pair.x_at), space.key_id(pair.y_at)
+    a_cols, a_coef, a_const = linear_form(
+        space, (x_at, y_at), (1.0, -1.0), t_ref, scale
     )
-    b_cols, b_coef, b_const = _linear_form(
-        system, {pair.x_next: 1.0, pair.y_next: -1.0}, t_ref, scale
+    b_cols, b_coef, b_const = linear_form(
+        space, (x_at + 1, y_at + 1), (1.0, -1.0), t_ref, scale
     )
     coeffs: dict[int, float] = {}
 

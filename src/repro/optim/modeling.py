@@ -8,8 +8,9 @@ with ``l == u``; one-sided rows use ``-inf`` / ``+inf``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,26 +84,100 @@ class ConstraintRow:
         return max(0.0, self.lower - value, value - self.upper)
 
 
-class ConstraintBuilder:
-    """Accumulates :class:`ConstraintRow` objects and builds the sparse system."""
+class Deferred(Sequence):
+    """A read-only sequence of known length whose items are made on first
+    access, so ``len()`` never builds them."""
 
-    def __init__(self, num_variables: int | None = None) -> None:
-        self._rows: list[ConstraintRow] = []
-        self._num_variables = num_variables
+    def __init__(self, size: int, build: Callable[[], list]) -> None:
+        self._size = size
+        self._build = build
+        self._items: list | None = None
+
+    def _all(self) -> list:
+        if self._items is None:
+            self._items = self._build()
+        return self._items
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._size
+
+    def __getitem__(self, index):
+        return self._all()[index]
+
+    def __iter__(self) -> Iterator:
+        return iter(self._all())
+
+
+class ConstraintBuilder:
+    """Accumulates rows in CSR form and builds the sparse system.
+
+    Row ``r`` holds columns ``indices[indptr[r]:indptr[r + 1]]`` (sorted,
+    distinct) with coefficients ``data[...]`` (nonzero) and bounds
+    ``lower[r]`` / ``upper[r]``. Producers that already hold rows in that
+    form append to the lists directly. A row's tag is a string, or any
+    other value that ``tag_names`` turns into one on demand;
+    :class:`ConstraintRow` objects are made only when :attr:`rows` is read.
+    """
+
+    def __init__(
+        self,
+        num_variables: int | None = None,
+        tag_names: Callable[[object], str] | None = None,
+    ) -> None:
+        self._num_variables = num_variables
+        self._tag_names = tag_names
+        self.indptr: list[int] = [0]
+        self.indices: list[int] = []
+        self.data: list[float] = []
+        self.lower: list[float] = []
+        self.upper: list[float] = []
+        self.tags: list = []
+        self._rows: list[ConstraintRow] | None = None
+
+    def __len__(self) -> int:
+        return len(self.lower)
+
+    def tag(self, row: int) -> str:
+        """The tag string of one row."""
+        tag = self.tags[row]
+        return tag if isinstance(tag, str) else self._tag_names(tag)
 
     @property
-    def rows(self) -> list[ConstraintRow]:
-        return list(self._rows)
+    def rows(self) -> Sequence[ConstraintRow]:
+        """The rows as :class:`ConstraintRow` objects, made on first access."""
+        return Deferred(len(self), self._materialized_rows)
+
+    def _materialized_rows(self) -> list[ConstraintRow]:
+        if self._rows is None or len(self._rows) != len(self):
+            indptr, indices, data = self.indptr, self.indices, self.data
+            self._rows = [
+                ConstraintRow(
+                    indices=tuple(indices[indptr[r]:indptr[r + 1]]),
+                    coefficients=tuple(data[indptr[r]:indptr[r + 1]]),
+                    lower=self.lower[r],
+                    upper=self.upper[r],
+                    tag=self.tag(r),
+                )
+                for r in range(len(self))
+            ]
+        return self._rows
+
+    def _append(self, indices, coefficients, lower, upper, tag) -> None:
+        """Append a row already in canonical form (sorted distinct
+        columns, nonzero coefficients); nothing is checked."""
+        self.indices.extend(indices)
+        self.data.extend(coefficients)
+        self.indptr.append(len(self.indices))
+        self.lower.append(lower)
+        self.upper.append(upper)
+        self.tags.append(tag)
 
     def add(
         self,
         terms: Mapping[int, float] | Iterable[tuple[int, float]],
         lower: float = -INF,
         upper: float = INF,
-        tag: str = "",
+        tag="",
     ) -> None:
         """Add a row ``lower <= sum(coeff * x) <= upper``.
 
@@ -121,15 +196,9 @@ class ConstraintBuilder:
             if lower > 0.0 or upper < 0.0:
                 raise ValueError("constant row is infeasible")
             return
-        indices = tuple(sorted(merged))
-        self._rows.append(
-            ConstraintRow(
-                indices=indices,
-                coefficients=tuple(merged[i] for i in indices),
-                lower=float(lower),
-                upper=float(upper),
-                tag=tag,
-            )
+        indices = sorted(merged)
+        self._append(
+            indices, [merged[i] for i in indices], float(lower), float(upper), tag
         )
 
     def add_le(self, terms, upper: float, tag: str = "") -> None:
@@ -144,9 +213,20 @@ class ConstraintBuilder:
         """Add ``sum(terms) == value``."""
         self.add(terms, lower=value, upper=value, tag=tag)
 
+    def _copy_row(self, source: "ConstraintBuilder", row: int) -> None:
+        start, stop = source.indptr[row], source.indptr[row + 1]
+        self._append(
+            source.indices[start:stop],
+            source.data[start:stop],
+            source.lower[row],
+            source.upper[row],
+            source.tag(row),
+        )
+
     def extend(self, other: "ConstraintBuilder") -> None:
         """Append all rows from another builder."""
-        self._rows.extend(other._rows)
+        for row in range(len(other)):
+            self._copy_row(other, row)
 
     def build(self, num_variables: int | None = None):
         """Assemble ``(A, l, u)`` with ``A`` in CSR format.
@@ -157,47 +237,38 @@ class ConstraintBuilder:
         """
         if num_variables is None:
             num_variables = self._num_variables
+        largest = max(self.indices, default=-1)
         if num_variables is None:
-            num_variables = 1 + max(
-                (max(row.indices) for row in self._rows), default=-1
+            num_variables = 1 + largest
+        if largest >= num_variables:
+            raise ValueError(
+                f"row references column {largest} >= n={num_variables}"
             )
-        data: list[float] = []
-        row_ids: list[int] = []
-        col_ids: list[int] = []
-        lower = np.empty(len(self._rows))
-        upper = np.empty(len(self._rows))
-        for row_id, row in enumerate(self._rows):
-            lower[row_id] = row.lower
-            upper[row_id] = row.upper
-            for index, coefficient in zip(row.indices, row.coefficients):
-                if index >= num_variables:
-                    raise ValueError(
-                        f"row references column {index} >= n={num_variables}"
-                    )
-                row_ids.append(row_id)
-                col_ids.append(index)
-                data.append(coefficient)
         matrix = sp.csr_matrix(
-            (data, (row_ids, col_ids)), shape=(len(self._rows), num_variables)
+            (self.data, self.indices, self.indptr),
+            shape=(len(self), num_variables),
         )
-        return matrix, lower, upper
+        return matrix, np.array(self.lower, dtype=float), np.array(
+            self.upper, dtype=float
+        )
 
     def max_violation(self, x: np.ndarray) -> float:
         """Largest violation of any row at ``x`` (0 when fully feasible)."""
-        return max((row.violation(x) for row in self._rows), default=0.0)
+        return max((row.violation(x) for row in self.rows), default=0.0)
 
     def rows_by_tag(self, prefix: str) -> list[ConstraintRow]:
         """All rows whose tag starts with ``prefix``."""
-        return [row for row in self._rows if row.tag.startswith(prefix)]
+        return [row for row in self.rows if row.tag.startswith(prefix)]
 
     def filtered(self, keep) -> "ConstraintBuilder":
         """A new builder holding only the rows whose tag satisfies ``keep``.
 
         Used by the degradation ladder: an infeasible system is re-solved
         with whole constraint families (identified by their tag prefixes)
-        removed. Rows are shared, not copied — :class:`ConstraintRow` is
-        frozen, so sharing is safe.
+        removed.
         """
         out = ConstraintBuilder(num_variables=self._num_variables)
-        out._rows = [row for row in self._rows if keep(row.tag)]
+        for row in range(len(self)):
+            if keep(self.tag(row)):
+                out._copy_row(self, row)
         return out

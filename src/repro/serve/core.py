@@ -223,14 +223,16 @@ class LineProtocolServer:
         except (asyncio.CancelledError, ConnectionError):
             pass
         finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, asyncio.CancelledError):
                 pass
             self.on_disconnect(conn_id)
+            # Registered until here: _close_connections gathers this task
+            # and so finds any eviction on_disconnect spawned.
+            if task is not None:
+                self._conn_tasks.discard(task)
 
     async def _send(self, writer, payload: dict) -> None:
         """Encode and write one response line, surviving bad payloads.

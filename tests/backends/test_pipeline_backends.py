@@ -10,7 +10,7 @@ import pytest
 
 from repro.backends import backend_names
 from repro.core.constraints import ConstraintConfig
-from repro.core.estimator import EstimatorConfig, estimate_arrival_times_info
+from repro.backends.domo_qp import EstimatorConfig, estimate_arrival_times_info
 from repro.core.pipeline import DomoConfig, DomoReconstructor
 from repro.core.preprocessor import build_window_systems
 from repro.optim.result import SolverError, SolverStatus

@@ -176,3 +176,118 @@ def test_resolution_statistics_populated(sim_trace):
     assert system.stats["unknowns"] == system.num_unknowns
     assert system.stats["fifo_resolved"] > 0
     assert system.stats["rows"] == len(system.builder)
+
+
+# ----------------------------------------------------------------------
+# fifo_mode="none" and the shared visit-pair enumerator
+# ----------------------------------------------------------------------
+
+
+def _same_t0_pair():
+    """Sources 2 and 3 forward through node 1 with identical t0."""
+    return bundle_of(
+        make_received(2, 0, (2, 1, 0), (0.0, 10.0, 22.0)),
+        make_received(3, 0, (3, 1, 0), (0.0, 12.0, 25.0)),
+    )
+
+
+def test_fifo_mode_none_emits_no_fifo_pairs_or_rows():
+    from repro.core.pipeline import DomoConfig, constraint_config_for
+
+    index = TraceIndex(list(_same_t0_pair().received))
+    none = build_constraints(
+        index, constraint_config_for(DomoConfig(fifo_mode="none"))
+    )
+    assert len(none.fifo_resolved) + len(none.fifo_unresolved) == 0
+    assert none.builder.rows_by_tag("fifo") == []
+    # The linearized mode still pairs a zero gap (inside any horizon);
+    # the departure leg joins two known sink arrivals and folds away.
+    linearized = build_constraints(
+        TraceIndex(list(_same_t0_pair().received)),
+        constraint_config_for(DomoConfig()),
+    )
+    assert len(linearized.fifo_resolved) + len(linearized.fifo_unresolved) == 1
+    assert len(linearized.builder.rows_by_tag("fifo")) == 1
+
+
+def test_visit_pairs_horizon_boundary_fifo_includes_eq8_excludes():
+    x = make_received(2, 0, (2, 1, 0), (0.0, 10.0, 22.0))
+    y = make_received(3, 0, (3, 1, 0), (10.0, 24.0, 30.0))
+    space = TraceIndex(list(bundle_of(x, y).received)).key_space
+    nodes, xs, ys = space.visit_pairs(10.0, 12, include_horizon=True)
+    assert nodes == [1] and len(xs) == len(ys) == 1
+    assert space.visit_pairs(10.0, 12, include_horizon=False) == ([], [], [])
+    # The FIFO build and Eq. (8) read the boundary each their own way.
+    system = _system(bundle_of(x, y), fifo_horizon_ms=10.0)
+    assert len(system.fifo_resolved) + len(system.fifo_unresolved) == 1
+    from repro.backends.domo_qp import EstimatorConfig, enumerate_pairs
+
+    assert enumerate_pairs(system, EstimatorConfig(epsilon_ms=10.0)) == []
+
+
+def test_visit_pairs_cap_counts_pairs_with_other_packets():
+    packets = [
+        make_received(2 + i, 0, (2 + i, 1, 0), (float(i), 10.0 + i, 20.0 + i))
+        for i in range(3)
+    ]
+    space = TraceIndex(list(bundle_of(*packets).received)).key_space
+    capped = space.visit_pairs(1_000.0, 1, include_horizon=True)
+    # Each node-1 visit pairs with its next visit only.
+    assert len(capped[0]) == 2
+    assert len(space.visit_pairs(1_000.0, 2, include_horizon=True)[0]) == 3
+    assert space.visit_pairs(1_000.0, 0, include_horizon=True) == ([], [], [])
+
+
+def test_visit_pairs_self_skip_does_not_use_up_the_cap():
+    # p visits node 1 twice; its first visit's next node-1 visit is its
+    # own, which is skipped without counting, so it still pairs with q.
+    p = make_received(2, 0, (2, 1, 3, 1, 0), (0.0, 10.0, 20.0, 30.0, 40.0))
+    q = make_received(4, 0, (4, 1, 0), (2.0, 12.0, 24.0))
+    index = TraceIndex(list(bundle_of(p, q).received), omega_ms=1.0)
+    space = index.key_space
+    nodes, xs, ys = space.visit_pairs(1_000.0, 1, include_horizon=True)
+    at_shared = [
+        (space.arrival_key(x), space.arrival_key(y))
+        for node, x, y in zip(nodes, xs, ys)
+        if node == 1
+    ]
+    assert len(at_shared) == 2
+    assert all(a.packet_id != b.packet_id for a, b in at_shared)
+    assert {a.hop for a, _ in at_shared} == {1, 3}
+
+
+def test_sizes_are_read_without_making_rows_pairs_or_keys(
+    busy_node_trace, monkeypatch
+):
+    """``len()`` of the system's views (what a tracer reads inside the
+    build) makes no ConstraintRow, FifoPair or ArrivalKey objects."""
+    import repro.core.constraints as constraints
+    import repro.core.records as records
+    import repro.optim.modeling as modeling
+
+    made = []
+    for module, name in (
+        (modeling, "ConstraintRow"),
+        (constraints, "FifoPair"),
+        (records, "ArrivalKey"),
+    ):
+        original = getattr(module, name)
+
+        def counting(*args, _original=original, **kwargs):
+            made.append(_original)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    system = build_constraints(TraceIndex(list(busy_node_trace.received)))
+    sizes = (
+        len(system.builder),
+        len(system.builder.rows),
+        len(system.fifo_resolved) + len(system.fifo_unresolved),
+        system.num_unknowns,
+        len(system.intervals),
+    )
+    assert made == []
+    assert sizes[0] == sizes[1] == system.stats["rows"] > 0
+    assert sizes[2] > 0 and sizes[3] == system.stats["unknowns"]
+    assert len(list(system.builder.rows)) == sizes[0]
+    assert len(made) == sizes[0]

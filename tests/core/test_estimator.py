@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.constraints import ConstraintConfig, build_constraints
-from repro.core.estimator import (
+from repro.backends.domo_qp import (
     EstimatorConfig,
     enumerate_pairs,
     estimate_arrival_times,

@@ -58,7 +58,7 @@ def test_explicit_window_span_is_honored(trace):
 def test_shared_subconfigs_are_not_cross_contaminated():
     """Regression: __post_init__ used to mutate user sub-configs in place."""
     from repro.core.constraints import ConstraintConfig
-    from repro.core.estimator import EstimatorConfig
+    from repro.backends.domo_qp import EstimatorConfig
     from repro.core.sdr import SdrConfig
 
     shared_constraints = ConstraintConfig()

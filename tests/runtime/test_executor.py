@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.constraints import ConstraintConfig
-from repro.core.estimator import estimate_arrival_times_info
+from repro.backends.domo_qp import estimate_arrival_times_info
 from repro.core.preprocessor import build_window_systems
 from repro.optim.result import SolverError, SolverStatus
 from repro.runtime.executor import (

@@ -436,3 +436,74 @@ def test_sigterm_drains_every_open_window_and_writes_report(tmp_path):
         assert entry["windows_committed"] > 0
     total = sum(e["records_in"] for e in streams.values())
     assert total == len(packets)
+
+
+def test_shutdown_settles_eviction_of_a_connection_closing_meanwhile(
+    tmp_path, monkeypatch
+):
+    """A connection whose close is still in flight when the shutdown
+    drain starts must be settled, eviction included, before the drain
+    goes on to close the sessions: a later eviction would race the
+    shutdown drain, and both would close the stream's WAL. The
+    connection's close is held until ``_close_connections`` has
+    gathered, so the eviction can only come first if the drain waits
+    for that connection."""
+    import asyncio
+
+    from repro.serve.durability import DurabilityConfig, stream_state_dir
+    from repro.serve.durability.recovery import BATCH_RECORD, iter_wal_batches
+
+    packets = _packets()
+    wal_dir = tmp_path / "wal"
+    server = ReconstructionServer(
+        DomoConfig(),
+        socket_path=str(tmp_path / "race.sock"),
+        durability=DurabilityConfig(wal_dir=wal_dir),
+    )
+    events: list[str] = []
+    closing = threading.Event()
+    gathered = threading.Event()
+    wait_closed = asyncio.StreamWriter.wait_closed
+
+    async def held_wait_closed(writer):
+        closing.set()
+        while not gathered.is_set():
+            await asyncio.sleep(0.005)
+        return await wait_closed(writer)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "wait_closed", held_wait_closed)
+    close_connections = server._close_connections
+    evict = server.manager.evict
+
+    async def close_then_release():
+        await close_connections()
+        events.append("gathered")
+        gathered.set()
+
+    def logged_evict(session):
+        events.append("evict")
+        evict(session)
+
+    server._close_connections = close_then_release
+    server.manager.evict = logged_evict
+    handle = run_in_thread(server)
+    try:
+        with connect(socket_path=server.socket_path) as feeder:
+            feeder.send_packets(packets, stream="s")
+            assert feeder.health()["ok"]
+        assert closing.wait(10.0), "the server never closed the connection"
+    finally:
+        report = handle.stop()  # raises if the server exited with an error
+    assert report is not None
+    assert events == ["evict", "gathered"]
+    assert server.manager.get("s").drained
+    logged = [
+        (item["id"], item["t0"])
+        for _, record in iter_wal_batches(stream_state_dir(wal_dir, "s"))
+        if record["t"] == BATCH_RECORD
+        for item in record["packets"]
+    ]
+    assert sorted(logged) == sorted(
+        ([p.packet_id.source, p.packet_id.seqno], p.generation_time_ms)
+        for p in packets
+    )
