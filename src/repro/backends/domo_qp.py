@@ -11,7 +11,9 @@ That objective is a convex quadratic in the unknown arrival times; with
 the order/sum/resolved-FIFO rows it is a QP solved by
 :func:`repro.optim.qp.solve_qp`. A tiny Tikhonov pull toward the interval
 midpoints selects a canonical solution when the variance objective alone
-is indifferent (e.g. packets with no epsilon-neighbor).
+is indifferent (e.g. packets with no epsilon-neighbor). Rows with two or
+more unknowns that the interval box already implies stay in the window's
+system but are left out of the QP (:func:`droppable_rows`).
 
 This module is the historical ``repro.core.estimator`` moved behind the
 :class:`~repro.backends.base.EstimatorBackend` contract;
@@ -133,6 +135,94 @@ def pair_form(
     )
 
 
+def pair_objective(
+    space: KeySpace, xs: list[int], ys: list[int], n: int, t_ref: float
+) -> tuple[sp.csc_matrix, np.ndarray]:
+    """``P`` and ``q`` of the sum over pairs of ``(D_n(x) - D_n(y))^2``.
+
+    Each pair is :func:`pair_form` of ``x`` and ``y`` (frame ``t - t_ref``)
+    and a row of the difference matrix D, so P is ``2 D'D``: its entries
+    are sums of +-2, exact in any order. Known times fold into each pair's
+    constant in :func:`pair_form`'s term order (an unknown term adds +0.0,
+    which leaves a sum that starts at +0.0 unchanged), and ``(a'x + c)^2``
+    adds ``2*c*a`` to q, accumulated in pair order, so P and q are
+    bit-identical to a term-by-term assembly. Pairs with no unknown add
+    nothing.
+    """
+    keys = np.array([xs, xs, ys, ys], dtype=np.int64).T + (1, 0, 1, 0)
+    columns = np.asarray(space.column)[keys]
+    unknown = columns >= 0
+    coefficients = np.broadcast_to(PAIR_COEFFICIENTS, keys.shape)
+    folded = np.where(
+        unknown, 0.0, coefficients * (np.asarray(space.value)[keys] - t_ref)
+    )
+    constant = 0.0 + folded[:, 0] + folded[:, 1] + folded[:, 2] + folded[:, 3]
+    counts = unknown.sum(axis=1)
+    indptr = np.concatenate(([0], np.cumsum(counts[counts > 0])))
+    D = sp.csr_matrix(
+        (coefficients[unknown], columns[unknown], indptr),
+        shape=(len(indptr) - 1, n),
+    )
+    P = (2.0 * (D.T @ D)).tocsc()
+    P.sort_indices()
+    q = np.zeros(n)
+    np.add.at(
+        q, columns[unknown], ((2.0 * constant)[:, None] * coefficients)[unknown]
+    )
+    return P, q
+
+
+def droppable_rows(
+    A: sp.csr_matrix,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    lows: np.ndarray,
+    highs: np.ndarray,
+) -> np.ndarray:
+    """Mask of the rows of ``lower <= A x <= upper`` the Eq. (8) QP leaves out.
+
+    A row is left out when it has two or more unknowns and its activity
+    range over the box ``lows <= x <= highs`` lies inside ``[lower,
+    upper]``: it then holds at every point of the box, which the QP also
+    enforces, so the feasible set is unchanged. Each extreme is summed in
+    the row's term order, as its value at the extreme vertex would be, so
+    a dropped row holds at every vertex in floating point too.
+    Single-unknown rows are kept even when implied: each repeats a box row
+    and so doubles that coordinate's weight in the ADMM penalty, and the
+    loose stopping tolerance makes the estimates depend on that weight.
+    """
+    counts = np.diff(A.indptr)
+    row_of = np.repeat(np.arange(len(counts)), counts)
+    at_low = A.data * lows[A.indices]
+    at_high = A.data * highs[A.indices]
+    rising = A.data > 0
+    least = np.bincount(
+        row_of, np.where(rising, at_low, at_high), minlength=len(counts)
+    )
+    most = np.bincount(
+        row_of, np.where(rising, at_high, at_low), minlength=len(counts)
+    )
+    return (counts >= 2) & (least >= lower) & (most <= upper)
+
+
+def _stack_box(A: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
+    """The rows of ``A`` marked in ``keep`` above one identity row per
+    column (the interval box), as one CSR built from ``A``'s arrays."""
+    n = A.shape[1]
+    counts = np.diff(A.indptr)
+    entries = np.repeat(keep, counts)
+    ends = np.cumsum(counts[keep])
+    box_ends = (ends[-1] if len(ends) else 0) + np.arange(1, n + 1)
+    return sp.csr_matrix(
+        (
+            np.concatenate((A.data[entries], np.ones(n))),
+            np.concatenate((A.indices[entries], np.arange(n))),
+            np.concatenate(([0], ends, box_ends)),
+        ),
+        shape=(len(ends) + n, n),
+    )
+
+
 def estimate_arrival_times(
     system: ConstraintSystem,
     config: EstimatorConfig | None = None,
@@ -169,46 +259,25 @@ def estimate_arrival_times_info(
     midpoints = 0.5 * (lows + highs) - t_ref
 
     # --- objective: sum of squared delay differences -------------------
-    # Each pair is a row of the difference matrix D, so the objective's
-    # Hessian is 2 D'D. Its entries are sums of +-2, exact in any order;
-    # q is accumulated in pair order, as a term-by-term sum would be.
-    space = system.index.key_space
-    d_rows: list[int] = []
-    d_cols: list[int] = []
-    d_vals: list[float] = []
-    q_terms = [0.0] * n
-    num_pairs = 0
     _, xs, ys = objective_pairs(system, config)
-    for x, y in zip(xs, ys):
-        columns, coefficients, constant = pair_form(space, x, y, t_ref)
-        if not columns:
-            continue
-        # (a'x + c)^2 contributes 2*a*a' to P and 2*c*a to q.
-        for column, coefficient in zip(columns, coefficients):
-            q_terms[column] += 2.0 * constant * coefficient
-        d_rows.extend([num_pairs] * len(columns))
-        d_cols.extend(columns)
-        d_vals.extend(coefficients)
-        num_pairs += 1
-    D = sp.csr_matrix((d_vals, (d_rows, d_cols)), shape=(num_pairs, n))
-    P = (2.0 * (D.T @ D)).tocsc()
-    P.sort_indices()
-    q = np.array(q_terms)
+    P, q = pair_objective(system.index.key_space, xs, ys, n, t_ref)
 
     # Anchor: lambda * ||x - mid||^2 selects a canonical solution.
     lam = config.anchor_weight
     P = P + 2.0 * lam * sp.identity(n, format="csc")
     q = q - 2.0 * lam * midpoints
 
-    # --- constraints: builder rows + interval box ----------------------
+    # --- constraints: builder rows the box leaves open + interval box ---
     A_rows, row_lower, row_upper = system.builder.build(num_variables=n)
-    row_shift = np.asarray(A_rows @ np.ones(n)).ravel() * t_ref
-    row_lower = np.where(np.isfinite(row_lower), row_lower - row_shift, row_lower)
-    row_upper = np.where(np.isfinite(row_upper), row_upper - row_shift, row_upper)
-    identity = sp.identity(n, format="csr")
-    A = sp.vstack([A_rows, identity], format="csr")
-    lower = np.concatenate([row_lower, lows - t_ref])
-    upper = np.concatenate([row_upper, highs - t_ref])
+    keep = ~droppable_rows(A_rows, row_lower, row_upper, lows, highs)
+    A = _stack_box(A_rows, keep)
+    # In the frame t - t_ref a row's bounds move by its coefficient sum
+    # times t_ref (t_ref itself for the box rows).
+    shift = (A @ np.ones(n)) * t_ref
+    lower = np.concatenate([row_lower[keep], lows])
+    upper = np.concatenate([row_upper[keep], highs])
+    lower = np.where(np.isfinite(lower), lower - shift, lower)
+    upper = np.where(np.isfinite(upper), upper - shift, upper)
 
     problem = QPProblem(
         P=P, q=q, A=A, lower=lower, upper=upper, settings=config.qp

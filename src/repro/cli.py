@@ -200,7 +200,7 @@ def _format_backends() -> str:
 
 
 def _cmd_estimate(args) -> int:
-    from repro.runtime.telemetry import format_telemetry_report
+    from repro.obs.solver_telemetry import format_telemetry_report
 
     if args.list_backends:
         print(_format_backends())

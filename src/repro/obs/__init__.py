@@ -13,10 +13,9 @@ the pipeline itself observable the same way. Three pieces:
   document (:class:`RunReport`), its validator and pretty-printer,
   written by ``domo ... --metrics-out`` and read by ``domo report``.
 
-The two historical telemetry modules live here now
-(:mod:`repro.obs.solver_telemetry`, :mod:`repro.obs.stream_telemetry`)
-and remain importable under their original names
-``repro.runtime.telemetry`` and ``repro.stream.telemetry``.
+Two telemetry modules sit beside them: :mod:`repro.obs.solver_telemetry`
+(per-window solver records) and :mod:`repro.obs.stream_telemetry` (the
+streaming engine's lifecycle counters).
 """
 
 from repro.obs.registry import (

@@ -8,12 +8,11 @@ folds a run's records into the flat ``stats`` dict exposed on
 :func:`format_telemetry_report` renders an operator-readable summary for
 the CLI's ``--solver-stats`` path.
 
-This module lives in :mod:`repro.obs` (the observability layer) and is
-re-exported under its historical name ``repro.runtime.telemetry``.
-Registry publication happens at solve time
-(:func:`repro.runtime.executor.solve_one_window` feeds the
-``window.*`` histograms through an isolated per-window registry), so
-:func:`summarize_telemetry` stays a pure fold — safe to call repeatedly.
+:mod:`repro.runtime` re-exports its public names. Registry publication
+happens at solve time (:func:`repro.runtime.executor.solve_one_window`
+feeds the ``window.*`` histograms through an isolated per-window
+registry), so :func:`summarize_telemetry` stays a pure fold — safe to
+call repeatedly.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Observability counters of the streaming reconstruction engine.
 
-The batch pipeline's solver telemetry (``repro.runtime.telemetry``)
+The batch pipeline's solver telemetry (:mod:`repro.obs.solver_telemetry`)
 describes individual window solves; this module adds the *lifecycle*
 dimension the streaming engine introduces: how far the watermark lags the
 newest arrival, how many sealed windows are waiting on the executor, how
@@ -9,8 +9,7 @@ windows evict their packets. :func:`merge_stream_stats` folds the
 counters into the flat ``stats`` dict next to the solver telemetry so
 operators read one report.
 
-This module lives in :mod:`repro.obs` and is re-exported under its
-historical name ``repro.stream.telemetry``. :meth:`StreamTelemetry
+:mod:`repro.stream` re-exports its public names. :meth:`StreamTelemetry
 .publish` mirrors the running totals into the metrics registry as
 ``stream.*`` gauges — gauges, not counters, because totals are monotone
 and re-publishing a total is idempotent under the gauge's max-merge,

@@ -7,10 +7,15 @@ Solves problems of the form::
 
 where ``P`` is positive semidefinite. This is the operator-splitting scheme
 of Stellato et al. (OSQP): introduce ``z = A x``, alternate a regularized
-equality-constrained QP step (one cached factorization) with a box
+equality-constrained QP step (a cached factorization) with a box
 projection, and update scaled dual variables. The Domo estimation problem
 (paper Eq. (8) plus the order / sum-of-delays / linearized FIFO
 constraints) is exactly this shape.
+
+The penalty ``rho`` adapts as in OSQP (Stellato et al., §5.2): at each
+residual check that does not stop, the balance of the scaled primal and
+dual residuals proposes a new ``rho``, which is taken, and the KKT matrix
+refactored, only when it moves by more than :data:`RHO_REFACTOR_RATIO`.
 """
 
 from __future__ import annotations
@@ -24,6 +29,16 @@ import scipy.sparse as sp
 from repro.obs.solver_telemetry import record_solver_result
 from repro.optim.linalg import KKTFactorization, as_csc
 from repro.optim.result import SolverResult, SolverStatus
+
+
+#: range of the adaptive penalty (OSQP's RHO_MIN / RHO_MAX).
+RHO_MIN = 1e-6
+RHO_MAX = 1e6
+#: a proposed rho is taken, and the KKT matrix refactored, only when it
+#: differs from the current one by more than this factor either way.
+RHO_REFACTOR_RATIO = 5.0
+#: keeps the rho estimate finite when the dual residual is zero.
+_DIVISION_TOL = 1e-10
 
 
 @dataclass
@@ -108,36 +123,45 @@ def solve_qp(
     z = np.clip(problem.A @ x, problem.lower, problem.upper)
     y = np.zeros(m)
 
-    kkt = KKTFactorization(problem.P, problem.A, cfg.sigma, cfg.rho)
+    rho = cfg.rho
+    kkt = KKTFactorization(problem.P, problem.A, cfg.sigma, rho)
+    refactorizations = 0
     A, At = problem.A, problem.A.T
     status = SolverStatus.ITERATION_LIMIT
     primal_res = dual_res = float("inf")
     iteration = 0
     for iteration in range(1, cfg.max_iterations + 1):
         # OSQP iteration (Stellato et al., Algorithm 1) with relaxation.
-        rhs = cfg.sigma * x - problem.q + At @ (cfg.rho * z - y)
+        rhs = cfg.sigma * x - problem.q + At @ (rho * z - y)
         x_tilde = kkt.solve(rhs)
         z_tilde = A @ x_tilde
         x = cfg.alpha * x_tilde + (1.0 - cfg.alpha) * x
         z_relaxed = cfg.alpha * z_tilde + (1.0 - cfg.alpha) * z
-        z_new = np.clip(
-            z_relaxed + y / cfg.rho, problem.lower, problem.upper
-        )
-        y = y + cfg.rho * (z_relaxed - z_new)
+        z_new = np.clip(z_relaxed + y / rho, problem.lower, problem.upper)
+        y = y + rho * (z_relaxed - z_new)
         z = z_new
 
         if iteration % cfg.check_interval == 0 or iteration == cfg.max_iterations:
-            primal_res, dual_res, eps_primal, eps_dual = _residuals(
-                problem, x, z, y
-            )
+            (
+                primal_res, dual_res, eps_primal, eps_dual,
+                scale_primal, scale_dual,
+            ) = _residuals(problem, x, z, y)
             if primal_res <= eps_primal and dual_res <= eps_dual:
                 status = SolverStatus.OPTIMAL
                 break
-    else:  # pragma: no cover - loop always breaks or exhausts above
-        pass
+            proposed = _rho_estimate(
+                rho, primal_res / scale_primal, dual_res / scale_dual
+            )
+            moved = max(proposed / rho, rho / proposed)
+            if moved > RHO_REFACTOR_RATIO and iteration < cfg.max_iterations:
+                rho = proposed
+                kkt = KKTFactorization(problem.P, A, cfg.sigma, rho)
+                refactorizations += 1
 
     if status is SolverStatus.ITERATION_LIMIT:
-        primal_res, dual_res, eps_primal, eps_dual = _residuals(problem, x, z, y)
+        primal_res, dual_res, eps_primal, eps_dual, *_ = _residuals(
+            problem, x, z, y
+        )
         if (
             primal_res <= cfg.almost_factor * eps_primal
             and dual_res <= cfg.almost_factor * eps_dual
@@ -162,6 +186,8 @@ def solve_qp(
                 "dual": y,
                 "num_variables": n,
                 "num_constraints": m,
+                "rho": rho,
+                "refactorizations": refactorizations,
             },
         ),
     )
@@ -186,11 +212,14 @@ def _solve_unconstrained(problem: QPProblem) -> SolverResult:
 
 
 def _residuals(problem: QPProblem, x, z, y):
-    """Primal/dual residuals and their scaled tolerances (OSQP criteria)."""
+    """Primal/dual residuals, their scaled tolerances (OSQP criteria) and
+    the scales those tolerances use: ``(r_p, r_d, eps_p, eps_d, s_p, s_d)``."""
     cfg = problem.settings
     ax = problem.A @ x
+    px = problem.P @ x
+    aty = problem.A.T @ y
     primal = float(np.max(np.abs(ax - z))) if z.size else 0.0
-    dual_vec = problem.P @ x + problem.q + problem.A.T @ y
+    dual_vec = px + problem.q + aty
     dual = float(np.max(np.abs(dual_vec))) if dual_vec.size else 0.0
 
     scale_primal = max(
@@ -198,8 +227,6 @@ def _residuals(problem: QPProblem, x, z, y):
         float(np.max(np.abs(z))) if z.size else 0.0,
         1.0,
     )
-    px = problem.P @ x
-    aty = problem.A.T @ y
     scale_dual = max(
         float(np.max(np.abs(px))) if px.size else 0.0,
         float(np.max(np.abs(aty))) if aty.size else 0.0,
@@ -208,4 +235,11 @@ def _residuals(problem: QPProblem, x, z, y):
     )
     eps_primal = cfg.eps_abs + cfg.eps_rel * scale_primal
     eps_dual = cfg.eps_abs + cfg.eps_rel * scale_dual
-    return primal, dual, eps_primal, eps_dual
+    return primal, dual, eps_primal, eps_dual, scale_primal, scale_dual
+
+
+def _rho_estimate(rho: float, primal: float, dual: float) -> float:
+    """OSQP's penalty proposal from the scaled residuals: ``rho`` times
+    the square root of primal over dual, kept in range."""
+    estimate = rho * float(np.sqrt(primal / (dual + _DIVISION_TOL)))
+    return min(max(estimate, RHO_MIN), RHO_MAX)

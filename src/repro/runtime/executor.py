@@ -50,9 +50,9 @@ from repro.obs.registry import (
     current_registry,
     isolated_registry,
 )
+from repro.obs.solver_telemetry import WindowTelemetry
 from repro.obs.spans import span
 from repro.optim.result import SolverError
-from repro.runtime.telemetry import WindowTelemetry
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,7 @@ def test_unknown_backend_rejected_at_config_time():
 def test_backend_windows_summary_across_a_sweep():
     systems = _systems()
     report = execute_windows(systems, WindowSolveSpec(backend="mnt"))
-    from repro.runtime.telemetry import summarize_telemetry
+    from repro.obs.solver_telemetry import summarize_telemetry
 
     stats = summarize_telemetry([r.telemetry for r in report.results])
     assert stats["backend_windows"] == {"mnt": len(systems)}

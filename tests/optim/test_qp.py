@@ -182,3 +182,84 @@ def test_unconstrained_solve_reports_timing():
     )
     result = solve_qp(problem)
     assert result.solve_time_s > 0.0
+
+
+def _slsqp_reference(problem):
+    """scipy's SLSQP on the same QP, from the box midpoint."""
+    from scipy.optimize import minimize
+
+    P, q = problem.P.toarray(), problem.q
+    A = problem.A.toarray()
+    lower, upper = problem.lower, problem.upper
+    has_lower, has_upper = np.isfinite(lower), np.isfinite(upper)
+    reference = minimize(
+        problem.objective,
+        0.5 * (lower + upper)[-problem.num_variables:],
+        jac=lambda x: P @ x + q,
+        constraints=[
+            {
+                "type": "ineq",
+                "fun": lambda x: A[has_lower] @ x - lower[has_lower],
+                "jac": lambda x: A[has_lower],
+            },
+            {
+                "type": "ineq",
+                "fun": lambda x: upper[has_upper] - A[has_upper] @ x,
+                "jac": lambda x: -A[has_upper],
+            },
+        ],
+        method="SLSQP",
+    )
+    assert reference.success, reference.message
+    return reference
+
+
+def _chain_qp(lows, width, targets, curvature=1.0):
+    """Chained order rows ``x[i+1] - x[i] >= 1`` over the box ``[lows,
+    lows + width]`` (rows first, box last, as the Eq. (8) QP stacks them),
+    with objective ``curvature * (sum (x[i+1] - x[i])^2 + sum (x[i] -
+    targets[i])^2)`` plus a 1e-6 anchor: the objective's difference
+    matrix is the constraint matrix itself."""
+    n = len(lows)
+    D = np.vstack([np.diff(np.eye(n), axis=0), np.eye(n)])
+    c = np.concatenate([np.zeros(n - 1), -np.asarray(targets)])
+    return _qp(
+        curvature * 2.0 * D.T @ D + 2e-6 * np.eye(n),
+        curvature * 2.0 * D.T @ c,
+        D,
+        np.concatenate([np.ones(n - 1), lows]),
+        np.concatenate([np.full(n - 1, INF), np.asarray(lows) + width]),
+    )
+
+
+def test_adaptive_rho_on_a_badly_scaled_domo_shaped_qp():
+    # Four interior arrival times in the frame of a long window: 40 ms
+    # boxes near 5e4 ms, chained order rows, and pulls toward known
+    # times that fold into q of about -1e5 while P is O(1).
+    lows = 5e4 + 15.0 * np.arange(4)
+    problem = _chain_qp(lows, 40.0, lows + [-7.3, 17.1, -7.3, -11.7])
+    assert np.max(np.abs(problem.q)) == pytest.approx(1e5, rel=0.01)
+    result = solve_qp(problem).require_usable()
+    assert result.info["refactorizations"] >= 1
+    reference = _slsqp_reference(problem)
+    settings = problem.settings
+    np.testing.assert_allclose(
+        result.x, reference.x, rtol=settings.eps_rel, atol=settings.eps_abs
+    )
+    # ADMM with rho fixed at its initial 0.1 stops after 100 iterations
+    # on this problem.
+    assert result.iterations < 100
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_well_scaled_qp_keeps_its_rho(seed):
+    # Curvature 0.1 matches the initial rho: the residuals stay balanced.
+    rng = np.random.default_rng(seed)
+    lows = np.arange(5.0)
+    problem = _chain_qp(lows, 0.8, lows + rng.uniform(-1.0, 2.0, 5), 0.1)
+    result = solve_qp(problem).require_usable()
+    assert result.info["refactorizations"] == 0
+    assert result.info["rho"] == QPSettings().rho
+    np.testing.assert_allclose(
+        result.x, _slsqp_reference(problem).x, atol=1e-3
+    )

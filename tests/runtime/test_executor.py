@@ -169,7 +169,7 @@ def test_relaxation_ladder_walks_to_order_only(monkeypatch):
 
 
 def test_relaxed_windows_surface_in_summary(monkeypatch):
-    from repro.runtime.telemetry import summarize_telemetry
+    from repro.obs.solver_telemetry import summarize_telemetry
 
     systems = _systems()
     monkeypatch.setattr(
