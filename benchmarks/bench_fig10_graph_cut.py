@@ -14,7 +14,13 @@ from repro.analysis.tables import format_sweep_table
 from repro.core.pipeline import DomoConfig
 
 
-def _cut_sweep(trace, cuts=FIG10_CUTS, sample=BOUND_SAMPLE):
+#: the methods a bound can come from, recorded per cut for the gate.
+METHODS = ("lp", "lp_relaxed", "interval")
+
+
+def _cut_sweep(trace, cuts=FIG10_CUTS, sample=BOUND_SAMPLE, methods=None):
+    """Rows of (cut, mean bound width, ms per bound); with ``methods``,
+    also fills it with cut -> bounds per method."""
     rows = []
     for cut in cuts:
         config = DomoConfig(graph_cut_size=cut)
@@ -24,6 +30,8 @@ def _cut_sweep(trace, cuts=FIG10_CUTS, sample=BOUND_SAMPLE):
         rows.append(
             [cut, result.domo.mean, result.domo_time_per_bound_ms]
         )
+        if methods is not None:
+            methods[cut] = result.domo_methods
     return rows
 
 
@@ -53,8 +61,19 @@ def main() -> None:
     with BenchHarness(
         "fig10_graph_cut", config={"cuts": list(FIG10_CUTS)}
     ) as bench:
-        rows = _cut_sweep(trace)
+        methods: dict = {}
+        rows = _cut_sweep(trace, methods=methods)
         bench.record(bound_widths_ms={str(r[0]): r[1] for r in rows})
+        # Integer parity for the perf gate: LP targets (the same at
+        # every cut) and, per cut, how many bounds each method gave.
+        bench.record(
+            lp_targets=sum(methods[FIG10_CUTS[0]].values()),
+            **{
+                f"bounds_{method}_cut{cut}": counts.get(method, 0)
+                for cut, counts in methods.items()
+                for method in METHODS
+            },
+        )
     print(format_sweep_table(
         ["cut_size", "domo_bound_ms", "ms_per_bound"], rows
     ))

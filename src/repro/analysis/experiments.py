@@ -14,6 +14,7 @@ and returns a small result object carrying :class:`ErrorStats` per method.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.baselines.message_tracing import MessageTracingReconstructor
@@ -74,6 +75,8 @@ class BoundsComparison:
     domo: ErrorStats
     mnt: ErrorStats
     domo_time_per_bound_ms: float = 0.0
+    #: Domo's bounds per method ("lp", "lp_relaxed", "interval").
+    domo_methods: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -156,6 +159,9 @@ def evaluate_bounds(
         domo=bound_width_stats(domo_widths),
         mnt=bound_width_stats(mnt.delay_widths()),
         domo_time_per_bound_ms=bounds.time_per_bound_ms,
+        domo_methods=dict(
+            Counter(entry.method for entry in bounds.bounds.values())
+        ),
     )
 
 

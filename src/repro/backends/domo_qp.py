@@ -37,6 +37,7 @@ from repro.backends.base import (
 )
 from repro.core.constraints import ConstraintSystem
 from repro.core.records import ArrivalKey, KeySpace
+from repro.optim.modeling import implied_rows
 from repro.optim.qp import QPProblem, QPSettings, solve_qp
 from repro.optim.result import SolverError, SolverResult
 
@@ -181,28 +182,15 @@ def droppable_rows(
 ) -> np.ndarray:
     """Mask of the rows of ``lower <= A x <= upper`` the Eq. (8) QP leaves out.
 
-    A row is left out when it has two or more unknowns and its activity
-    range over the box ``lows <= x <= highs`` lies inside ``[lower,
-    upper]``: it then holds at every point of the box, which the QP also
-    enforces, so the feasible set is unchanged. Each extreme is summed in
-    the row's term order, as its value at the extreme vertex would be, so
-    a dropped row holds at every vertex in floating point too.
-    Single-unknown rows are kept even when implied: each repeats a box row
-    and so doubles that coordinate's weight in the ADMM penalty, and the
-    loose stopping tolerance makes the estimates depend on that weight.
+    A row is left out when the box ``lows <= x <= highs``, which the QP
+    also enforces, implies it (:func:`~repro.optim.modeling.implied_rows`)
+    and it has two or more unknowns. Single-unknown rows are kept even
+    when implied: each repeats a box row and so doubles that coordinate's
+    weight in the ADMM penalty, and the loose stopping tolerance makes the
+    estimates depend on that weight.
     """
-    counts = np.diff(A.indptr)
-    row_of = np.repeat(np.arange(len(counts)), counts)
-    at_low = A.data * lows[A.indices]
-    at_high = A.data * highs[A.indices]
-    rising = A.data > 0
-    least = np.bincount(
-        row_of, np.where(rising, at_low, at_high), minlength=len(counts)
-    )
-    most = np.bincount(
-        row_of, np.where(rising, at_high, at_low), minlength=len(counts)
-    )
-    return (counts >= 2) & (least >= lower) & (most <= upper)
+    implied = implied_rows(A, lower, upper, lows, highs)
+    return (np.diff(A.indptr) >= 2) & implied
 
 
 def _stack_box(A: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:

@@ -8,22 +8,34 @@ of the constraint graph is extracted around the target (BFS seed of
 among extracted vertices are used — constraints crossing the boundary are
 *soundly relaxed* by replacing outside variables with their interval
 endpoints, so the bounds remain valid (just possibly looser).
+
+The path runs over the system's solver columns: the graph's vertices
+are columns, a sub-graph's rows are found through a CSC copy of the
+builder's matrix and projected onto it with numpy
+(:func:`project_rows`), and each sub-graph's LP is assembled once,
+without the rows its interval box already implies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Collection
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.constraints import ConstraintSystem
+from repro.constants import INF
+from repro.core.constraints import ConstraintSystem, upper_sum_rows
 from repro.core.records import ArrivalKey
 from repro.graphcut.extraction import SubgraphExtractor
 from repro.graphcut.graph import ConstraintGraph
 from repro.optim.lp import LinearProgram, solve_lp
-from repro.constants import INF
-from repro.optim.modeling import ConstraintRow
+from repro.optim.modeling import implied_rows
+
+#: in batched mode one extraction serves every target inside its BFS core
+#: of this fraction of the cut size (an amortization on top of the
+#: paper's per-target scheme).
+CORE_FRACTION = 0.25
 
 
 @dataclass
@@ -34,13 +46,6 @@ class BoundsConfig:
     graph_cut_size: int = 10_000
     #: tune the BFS boundary with balanced label propagation.
     use_blp: bool = True
-    #: when the LP is infeasible (loss broke an Eq. (6) row), retry
-    #: without the loss-unsafe rows before falling back to the interval.
-    drop_upper_sum_on_infeasible: bool = True
-    #: in batched mode one extraction serves every target inside its BFS
-    #: core of this fraction of the cut size (an amortization on top of
-    #: the paper's per-target scheme; set to 0 to force per-target).
-    core_fraction: float = 0.25
 
 
 @dataclass
@@ -59,6 +64,76 @@ class BoundResult:
         return self.upper - self.lower
 
 
+def _spans(indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Positions of the entries of rows (CSR) or columns (CSC) ``ids``,
+    span after span, each in storage order."""
+    starts = indptr[ids]
+    counts = indptr[ids + 1] - starts
+    shifts = starts - np.cumsum(counts) + counts
+    return np.repeat(shifts, counts) + np.arange(counts.sum())
+
+
+def project_rows(
+    A: sp.csr_matrix,
+    by_column: sp.csc_matrix,
+    row_lower: np.ndarray,
+    row_upper: np.ndarray,
+    lows: np.ndarray,
+    highs: np.ndarray,
+    columns: np.ndarray,
+) -> tuple[np.ndarray, sp.csr_matrix, np.ndarray, np.ndarray]:
+    """Project the rows of ``row_lower <= A x <= row_upper`` onto a
+    sub-graph, soundly relaxed.
+
+    ``by_column`` is ``A`` in CSC form and ``columns`` the sub-graph's
+    columns in ascending order; column ``columns[i]`` becomes local
+    column ``i``. Rows touching no column are irrelevant. A row's terms
+    outside the sub-graph are replaced by their worst cases over the box
+    ``lows <= x <= highs``, which keeps every row valid for the true
+    arrival times; each row's two slacks are summed in term order from
+    0.0, as a loop over the row's terms would sum them. Rows left
+    unbounded on both sides are dropped.
+
+    Returns ``(rows, A_local, lower, upper)``: the kept rows' ids in
+    ascending order and the projected rows in that order.
+    """
+    local_of = np.full(A.shape[1], -1, dtype=np.int64)
+    local_of[columns] = np.arange(len(columns))
+    rows = np.unique(by_column.indices[_spans(by_column.indptr, columns)])
+    entries = _spans(A.indptr, rows)
+    row_of = np.repeat(np.arange(len(rows)), np.diff(A.indptr)[rows])
+    terms = A.indices[entries]
+    coefficients = A.data[entries]
+    local = local_of[terms]
+    outside = local < 0
+
+    at_low = coefficients[outside] * lows[terms[outside]]
+    at_high = coefficients[outside] * highs[terms[outside]]
+    slack_lo = np.bincount(
+        row_of[outside], np.minimum(at_low, at_high), minlength=len(rows)
+    )
+    slack_hi = np.bincount(
+        row_of[outside], np.maximum(at_low, at_high), minlength=len(rows)
+    )
+    lower = row_lower[rows]
+    upper = row_upper[rows]
+    lower = np.where(np.isfinite(lower), lower - slack_hi, -INF)
+    upper = np.where(np.isfinite(upper), upper - slack_lo, INF)
+
+    kept = (lower != -INF) | (upper != INF)
+    inside = ~outside & kept[row_of]
+    counts = np.bincount(row_of[inside], minlength=len(rows))[kept]
+    A_local = sp.csr_matrix(
+        (
+            coefficients[inside],
+            local[inside],
+            np.concatenate(([0], np.cumsum(counts))),
+        ),
+        shape=(len(counts), len(columns)),
+    )
+    return rows[kept], A_local, lower[kept], upper[kept]
+
+
 class BoundComputer:
     """Computes per-arrival-time bounds over one constraint system."""
 
@@ -67,6 +142,17 @@ class BoundComputer:
     ) -> None:
         self.system = system
         self.config = config or BoundsConfig()
+        builder = system.builder
+        self._A, self._row_lower, self._row_upper = builder.build(
+            num_variables=system.num_unknowns
+        )
+        # column -> rows touching it, so a sub-graph's projection only
+        # visits its own rows.
+        self._by_column = self._A.tocsc()
+        self._upper_sum = upper_sum_rows(builder)
+        self._lows, self._highs = system.variable_bounds()
+        self._low_array = np.asarray(self._lows)
+        self._high_array = np.asarray(self._highs)
         self.graph = self._build_graph()
         self._extractor = SubgraphExtractor(
             self.graph,
@@ -74,25 +160,24 @@ class BoundComputer:
             use_blp=self.config.use_blp,
         )
         self._stats: dict[str, int] = {}
-        # column -> rows touching it, so sub-graph projection only visits
-        # relevant rows instead of scanning the whole system per target.
-        self._rows_by_column: dict[int, list[int]] = {}
-        for row_id, row in enumerate(self.system.builder.rows):
-            for column in row.indices:
-                self._rows_by_column.setdefault(column, []).append(row_id)
 
     @property
     def stats(self) -> dict:
         return dict(self._stats)
 
     def _build_graph(self) -> ConstraintGraph:
-        """Vertices = unknown keys; cliques per constraint row (paper §IV.C)."""
+        """Vertices = unknown columns; a clique per builder row (§IV.C).
+
+        Columns go in first, then each row's clique in row order. That
+        order fixes neighbor and BFS order, and with them the extracted
+        sub-graphs, so it must not change with the data structure.
+        """
         graph = ConstraintGraph()
-        variables = self.system.variables
-        for key in variables:
-            graph.add_vertex(key)
-        for row in self.system.builder.rows:
-            graph.add_clique([variables.key_of(c) for c in row.indices])
+        for column in range(self.system.num_unknowns):
+            graph.add_vertex(column)
+        builder = self.system.builder
+        for start, stop in zip(builder.indptr, builder.indptr[1:]):
+            graph.add_clique(builder.indices[start:stop])
         return graph
 
     # ------------------------------------------------------------------
@@ -102,7 +187,8 @@ class BoundComputer:
         if self.system.index.is_known(key):
             value = self.system.index.known_value(key)
             return BoundResult(key=key, lower=value, upper=value, method="known")
-        inside = self._extractor.extract(key).inside
+        column = self.system.variables.index_of(key)
+        inside = self._extractor.extract(column).inside
         return self._solve_batch([key], inside)[key]
 
     def bounds_for_packet(self, packet_id) -> list[BoundResult]:
@@ -120,77 +206,79 @@ class BoundComputer:
 
         When the constraint graph exceeds the cut size, one extraction is
         reused for every still-uncovered target inside its BFS core
-        (``core_fraction`` of the cut size) — the projected constraint
-        rows are identical for all of them, so only the LP objective
-        changes per target.
+        (:data:`CORE_FRACTION` of the cut size) — the projected
+        constraint rows are identical for all of them, so only the LP
+        objective changes per target.
         """
         wanted = list(keys) if keys is not None else list(self.system.variables)
-        results: dict[ArrivalKey, BoundResult] = {}
         if self.graph.num_vertices <= self.config.graph_cut_size:
-            inside = set(self.graph.vertices())
-            return self._solve_batch(wanted, inside)
+            return self._solve_batch(wanted, range(self.system.num_unknowns))
 
-        core_size = max(1, int(self.config.graph_cut_size * self.config.core_fraction))
-        pending = [k for k in wanted]
-        covered: set = set()
-        for target in pending:
-            if target in covered:
+        index_of = self.system.variables.index_of
+        columns = [index_of(key) for key in wanted]
+        core_size = max(1, int(self.config.graph_cut_size * CORE_FRACTION))
+        results: dict[ArrivalKey, BoundResult] = {}
+        for target, column in zip(wanted, columns):
+            if target in results:
                 continue
-            extracted = self._extractor.extract(target)
-            if self.config.core_fraction > 0.0:
-                core = set(self.graph.bfs_ball(target, core_size))
-                core &= extracted.inside
-            else:
-                core = {target}
+            extracted = self._extractor.extract(column)
+            core = set(self.graph.bfs_ball(column, core_size))
+            core &= extracted.inside
             batch = [
-                k for k in pending
-                if k not in covered and (k == target or k in core)
+                key
+                for key, at in zip(wanted, columns)
+                if key not in results and (key == target or at in core)
             ]
-            batch_results = self._solve_batch(batch, extracted.inside)
-            results.update(batch_results)
-            covered.update(batch_results)
+            results.update(self._solve_batch(batch, extracted.inside))
         return results
 
     # ------------------------------------------------------------------
 
     def _solve_batch(
-        self, keys: list[ArrivalKey], inside: set
+        self, keys: list[ArrivalKey], inside: Collection[int]
     ) -> dict[ArrivalKey, BoundResult]:
-        """Solve min/max LPs for several targets over one sub-graph."""
-        variables = self.system.variables
-        columns = sorted(
-            variables.index_of(k) for k in inside if k in variables
+        """Solve min/max LPs for several targets over one sub-graph
+        (``inside``: its columns)."""
+        columns = np.fromiter(inside, dtype=np.int64, count=len(inside))
+        columns.sort()
+        lows = self._low_array[columns]
+        highs = self._high_array[columns]
+        rows, A, lower, upper = project_rows(
+            self._A,
+            self._by_column,
+            self._row_lower,
+            self._row_upper,
+            self._low_array,
+            self._high_array,
+            columns,
         )
-        local_of = {column: i for i, column in enumerate(columns)}
-        n_local = len(columns)
+        # The box is part of every LP, so the rows it implies change no
+        # feasible set. The retry without the loss-unsafe Eq. (6) rows
+        # gets its LP only when some target's full LP fails.
+        needed = ~implied_rows(A, lower, upper, lows, highs)
+        kept_rows = {
+            "lp": needed,
+            "lp_relaxed": needed & ~self._upper_sum[rows],
+        }
+        lps: dict[str, _BatchLP] = {}
 
-        lows = np.empty(n_local)
-        highs = np.empty(n_local)
-        for column, i in local_of.items():
-            lo, hi = self.system.intervals[variables.key_of(column)]
-            lows[i] = lo
-            highs[i] = hi
-
-        full_rows = self._relax_rows(local_of)
-        systems = [_BatchLP(full_rows, n_local, lows, highs)]
-        if self.config.drop_upper_sum_on_infeasible:
-            relaxed = [r for r in full_rows if not r[3].startswith("sum_hi")]
-            systems.append(_BatchLP(relaxed, n_local, lows, highs))
-
+        index_of = self.system.variables.index_of
         results: dict[ArrivalKey, BoundResult] = {}
         for key in keys:
-            interval = self.system.intervals[key]
-            target_local = local_of[variables.index_of(key)]
+            column = index_of(key)
+            interval = (self._lows[column], self._highs[column])
+            target_local = int(np.searchsorted(columns, column))
             entry = None
-            for attempt, batch_lp in enumerate(systems):
-                outcome = batch_lp.min_max(target_local)
+            for method, kept in kept_rows.items():
+                if method not in lps:
+                    lps[method] = _BatchLP(A, lower, upper, lows, highs, kept)
+                outcome = lps[method].min_max(target_local)
                 if outcome is None:
                     continue
-                lower = max(outcome[0], interval[0])
-                upper = min(outcome[1], interval[1])
-                if lower <= upper:
-                    method = "lp" if attempt == 0 else "lp_relaxed"
-                    entry = BoundResult(key, lower, upper, method)
+                lower_bound = max(outcome[0], interval[0])
+                upper_bound = min(outcome[1], interval[1])
+                if lower_bound <= upper_bound:
+                    entry = BoundResult(key, lower_bound, upper_bound, method)
                     break
             if entry is None:
                 entry = BoundResult(key, interval[0], interval[1], "interval")
@@ -198,85 +286,29 @@ class BoundComputer:
             results[key] = entry
         return results
 
-    def _relax_rows(self, local_of: dict[int, int]):
-        """Project builder rows onto the sub-graph, soundly relaxed.
-
-        Rows not touching any inside column are irrelevant; rows partially
-        outside have their outside terms replaced by interval worst cases,
-        which keeps every remaining row valid for the true arrival times.
-        """
-        variables = self.system.variables
-        relevant_ids: set[int] = set()
-        for column in local_of:
-            relevant_ids.update(self._rows_by_column.get(column, ()))
-        rows = self.system.builder.rows
-        projected: list[tuple[dict[int, float], float, float, str]] = []
-        for row_id in sorted(relevant_ids):
-            row = rows[row_id]
-            inside_terms: dict[int, float] = {}
-            slack_lo = slack_hi = 0.0
-            for column, coefficient in zip(row.indices, row.coefficients):
-                local = local_of.get(column)
-                if local is not None:
-                    inside_terms[local] = coefficient
-                    continue
-                lo, hi = self.system.intervals[variables.key_of(column)]
-                slack_lo += min(coefficient * lo, coefficient * hi)
-                slack_hi += max(coefficient * lo, coefficient * hi)
-            if not inside_terms:
-                continue
-            lower = row.lower - slack_hi if np.isfinite(row.lower) else -INF
-            upper = row.upper - slack_lo if np.isfinite(row.upper) else INF
-            if lower == -INF and upper == INF:
-                continue
-            projected.append((inside_terms, lower, upper, row.tag))
-        return projected
-
 
 class _BatchLP:
     """A fixed feasible region; min/max of single coordinates on demand."""
 
-    def __init__(self, rows, n_local, lows, highs):
-        self.n_local = n_local
-        self.lows = lows
-        self.highs = highs
-        if rows:
-            data, row_ids, col_ids = [], [], []
-            self.row_lower = np.empty(len(rows))
-            self.row_upper = np.empty(len(rows))
-            for r, (terms, lower, upper, _) in enumerate(rows):
-                self.row_lower[r] = lower
-                self.row_upper[r] = upper
-                for c, v in terms.items():
-                    row_ids.append(r)
-                    col_ids.append(c)
-                    data.append(v)
-            self.A = sp.csr_matrix(
-                (data, (row_ids, col_ids)), shape=(len(rows), n_local)
-            )
-        else:
-            self.A = sp.csr_matrix((0, n_local))
-            self.row_lower = np.empty(0)
-            self.row_upper = np.empty(0)
+    def __init__(self, A, lower, upper, lows, highs, rows: np.ndarray):
+        self.n_local = A.shape[1]
+        self.problem = LinearProgram(
+            c=np.zeros(self.n_local),
+            A=A[rows],
+            row_lower=lower[rows],
+            row_upper=upper[rows],
+            x_lower=lows,
+            x_upper=highs,
+        )
 
     def min_max(self, target_local: int) -> tuple[float, float] | None:
         """(min, max) of one coordinate, or None when the LP fails."""
         c = np.zeros(self.n_local)
         c[target_local] = 1.0
-        low = solve_lp(
-            LinearProgram(
-                c=c, A=self.A, row_lower=self.row_lower,
-                row_upper=self.row_upper, x_lower=self.lows, x_upper=self.highs,
-            )
-        )
+        low = solve_lp(self.problem.with_objective(c))
         if not low.status.is_usable:
             return None
-        high = solve_lp(
-            LinearProgram(
-                c=-c, A=self.A, row_lower=self.row_lower,
-                row_upper=self.row_upper, x_lower=self.lows, x_upper=self.highs,
-            )
-        )
+        high = solve_lp(self.problem.with_objective(-c))
         if not high.status.is_usable:
             return None
         return float(low.objective), float(-high.objective)

@@ -31,6 +31,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
+import numpy as np
+
 from repro.core.candidate import candidate_keys, loss_evidence
 from repro.core.intervals import (
     KeyIntervals,
@@ -174,6 +176,12 @@ def _tag_name(space: KeySpace, code: int) -> str:
         return f"fifo:{argument}"
     prefix = "sum_lo" if family == _SUM_LO else "sum_hi"
     return f"{prefix}:{space.packets[argument].packet_id}"
+
+
+def upper_sum_rows(builder: ConstraintBuilder) -> np.ndarray:
+    """Mask of the loss-unsafe Eq. (6) rows (tag ``sum_hi``) of a builder
+    :func:`build_constraints` filled, read from the integer tag codes."""
+    return np.asarray(builder.tags, dtype=np.int64) % 4 == _SUM_HI
 
 
 def build_constraints(

@@ -30,6 +30,10 @@ class ExtractedSubgraph:
         return len(self.inside)
 
 
+#: maximum BLP rounds per extraction.
+BLP_ROUNDS = 10
+
+
 class SubgraphExtractor:
     """Extracts bound-computation sub-graphs around target vertices."""
 
@@ -38,8 +42,6 @@ class SubgraphExtractor:
         graph: ConstraintGraph,
         cut_size: int = 10_000,
         use_blp: bool = True,
-        protect_radius: int = 1,
-        blp_rounds: int = 10,
     ) -> None:
         """
         Args:
@@ -47,17 +49,12 @@ class SubgraphExtractor:
             cut_size: target number of vertices per sub-graph (the paper's
                 *graph cut size*; its Fig. 10 sweeps 5000-20000).
             use_blp: tune the BFS boundary with balanced label propagation.
-            protect_radius: hops around the target frozen inside, keeping
-                the boundary away from the vertex being optimized.
-            blp_rounds: maximum BLP rounds per extraction.
         """
         if cut_size < 1:
             raise ValueError("cut_size must be positive")
         self._graph = graph
         self._cut_size = cut_size
         self._use_blp = use_blp
-        self._protect_radius = protect_radius
-        self._blp_rounds = blp_rounds
 
     def extract(self, target: Hashable) -> ExtractedSubgraph:
         """Extract the sub-graph whose bounds will constrain ``target``."""
@@ -78,12 +75,15 @@ class SubgraphExtractor:
                 cut_edges=graph.cut_weight(seed),
                 blp=None,
             )
-        frozen = set(graph.bfs_ball(target, self._protected_count()))
+        # The target and its BFS-closest tenth of the cut stay inside,
+        # keeping the boundary away from the vertex being optimized.
+        protected = max(1, self._cut_size // 10)
+        frozen = set(graph.bfs_ball(target, protected))
         result = refine_two_way(
             graph,
             seed,
             frozen=frozen,
-            max_rounds=self._blp_rounds,
+            max_rounds=BLP_ROUNDS,
         )
         return ExtractedSubgraph(
             target=target,
@@ -91,10 +91,3 @@ class SubgraphExtractor:
             cut_edges=result.final_cut,
             blp=result,
         )
-
-    def _protected_count(self) -> int:
-        """How many BFS-closest vertices stay pinned inside."""
-        # A small core: the target plus roughly its protect_radius-hop ball,
-        # approximated by a fixed fraction of the cut size.
-        fraction = max(1, self._cut_size // 10)
-        return fraction if self._protect_radius > 0 else 1

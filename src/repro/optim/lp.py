@@ -12,8 +12,10 @@ resolved FIFO constraints over an extracted sub-graph. This module exposes
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,6 +61,48 @@ class LinearProgram:
     def num_variables(self) -> int:
         return self.c.shape[0]
 
+    def with_objective(self, c) -> "LinearProgram":
+        """The same feasible region under objective ``c``. The copy shares
+        :attr:`linprog_form`, so a region solved under many objectives is
+        split once."""
+        self.linprog_form  # split before copying, so the copies share it
+        other = copy.copy(self)
+        other.c = np.asarray(c, dtype=float).ravel()
+        if other.c.shape != self.c.shape:
+            raise ValueError(
+                f"objective has {other.c.shape[0]} entries, expected "
+                f"{self.c.shape[0]}"
+            )
+        return other
+
+    @cached_property
+    def linprog_form(self) -> dict:
+        """The feasible region as ``linprog`` keyword arguments: the rows
+        ``row_lower <= A x <= row_upper`` split into ``A_ub x <= b_ub``
+        (finite upper sides, then negated finite lower sides) and
+        ``A_eq x == b_eq``; the variable bounds as an ``(n, 2)`` array,
+        whose infinite sides linprog reads as it reads ``None``."""
+        eq_mask = self.row_lower == self.row_upper
+        A = self.A
+        up_mask = ~eq_mask & np.isfinite(self.row_upper)
+        lo_mask = ~eq_mask & np.isfinite(self.row_lower)
+        blocks = []
+        rhs_parts = []
+        if np.any(up_mask):
+            blocks.append(A[up_mask])
+            rhs_parts.append(self.row_upper[up_mask])
+        if np.any(lo_mask):
+            blocks.append(-A[lo_mask])
+            rhs_parts.append(-self.row_lower[lo_mask])
+        eq_idx = np.nonzero(eq_mask)[0]
+        return {
+            "A_ub": sp.vstack(blocks, format="csr") if blocks else None,
+            "b_ub": np.concatenate(rhs_parts) if rhs_parts else None,
+            "A_eq": A[eq_idx] if eq_idx.size else None,
+            "b_eq": self.row_lower[eq_idx] if eq_idx.size else None,
+            "bounds": np.column_stack((self.x_lower, self.x_upper)),
+        }
+
 
 _LINPROG_STATUS = {
     0: SolverStatus.OPTIMAL,
@@ -71,42 +115,8 @@ _LINPROG_STATUS = {
 
 def solve_lp(problem: LinearProgram) -> SolverResult:
     """Solve a :class:`LinearProgram` with scipy's HiGHS backend."""
-    # linprog wants A_ub x <= b_ub and A_eq x == b_eq; split box rows.
     started = time.perf_counter()
-    eq_mask = problem.row_lower == problem.row_upper
-    A = problem.A.tocsr()
-    up_mask = ~eq_mask & np.isfinite(problem.row_upper)
-    lo_mask = ~eq_mask & np.isfinite(problem.row_lower)
-    blocks = []
-    rhs_parts = []
-    if np.any(up_mask):
-        blocks.append(A[up_mask])
-        rhs_parts.append(problem.row_upper[up_mask])
-    if np.any(lo_mask):
-        blocks.append(-A[lo_mask])
-        rhs_parts.append(-problem.row_lower[lo_mask])
-    A_ub = sp.vstack(blocks, format="csr") if blocks else None
-    b_ub = np.concatenate(rhs_parts) if rhs_parts else None
-    eq_idx = np.nonzero(eq_mask)[0]
-    A_eq = A[eq_idx] if eq_idx.size else None
-    b_eq = problem.row_lower[eq_idx] if eq_idx.size else None
-
-    bounds = [
-        (
-            None if not np.isfinite(lo) else lo,
-            None if not np.isfinite(hi) else hi,
-        )
-        for lo, hi in zip(problem.x_lower, problem.x_upper)
-    ]
-    outcome = linprog(
-        problem.c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
-    )
+    outcome = linprog(problem.c, **problem.linprog_form, method="highs")
     status = _LINPROG_STATUS.get(outcome.status, SolverStatus.NUMERICAL_ERROR)
     x = np.asarray(outcome.x) if outcome.x is not None else np.empty(0)
     return record_solver_result(
@@ -259,6 +269,13 @@ def _simplex_iterate(A, b, c, basis, max_iterations, tol, banned=frozenset()):
         direction = B_inv @ A[:, entering]
         ratios = [
             (xb[i] / direction[i], i) for i in range(m) if direction[i] > tol
+        ]
+        # A banned column still basic (a Phase-I artificial at level zero)
+        # must stay at zero, so it blocks the step in either direction.
+        ratios += [
+            (0.0, i)
+            for i in range(m)
+            if basis[i] in banned and direction[i] < -tol
         ]
         if not ratios:
             return SolverStatus.UNBOUNDED, basis, xb

@@ -272,3 +272,34 @@ class ConstraintBuilder:
             if keep(self.tag(row)):
                 out._copy_row(self, row)
         return out
+
+
+def implied_rows(
+    A: sp.csr_matrix,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    lows: np.ndarray,
+    highs: np.ndarray,
+) -> np.ndarray:
+    """Mask of the rows of ``lower <= A x <= upper`` the box implies.
+
+    A row is implied when its activity range over the box ``lows <= x <=
+    highs`` lies inside ``[lower, upper]``: it then holds at every point
+    of the box, so a problem that enforces the box keeps its feasible set
+    without the row. Each extreme is summed in the row's term order, as
+    its value at the extreme vertex would be, so an implied row holds at
+    every vertex in floating point too. A row whose range is not finite
+    is never implied (an ``inf - inf`` extreme is NaN).
+    """
+    counts = np.diff(A.indptr)
+    row_of = np.repeat(np.arange(len(counts)), counts)
+    at_low = A.data * lows[A.indices]
+    at_high = A.data * highs[A.indices]
+    rising = A.data > 0
+    least = np.bincount(
+        row_of, np.where(rising, at_low, at_high), minlength=len(counts)
+    )
+    most = np.bincount(
+        row_of, np.where(rising, at_high, at_low), minlength=len(counts)
+    )
+    return (least >= lower) & (most <= upper)

@@ -8,6 +8,9 @@ from repro.core.pipeline import (
     DomoReconstructor,
 )
 from repro.core.records import ArrivalKey
+from repro.obs.registry import isolated_registry
+from repro.obs.report import build_run_report
+from repro.obs.spans import span
 from repro.sim import NetworkConfig, simulate_network
 
 
@@ -186,6 +189,19 @@ def test_bounds_api(trace):
         assert result.lower - 1e-5 <= truth <= result.upper + 1e-5
     widths = [r.width for r in bounds.bounds.values()]
     assert float(np.mean(widths)) < 60.0
+
+
+def test_bounds_report_covers_its_root_span(trace):
+    """The constraint graph is built inside the solve span, so a bounds
+    run's report accounts for its wall time."""
+    domo = DomoReconstructor(DomoConfig(graph_cut_size=60))
+    wanted = [p.packet_id for p in trace.received[:3]]
+    with isolated_registry() as registry:
+        with span("run"):
+            bounds = domo.bounds(trace, packet_ids=wanted)
+        report = build_run_report("bounds", registry=registry)
+    assert bounds.bounds
+    assert report.span_coverage >= 0.9
 
 
 def test_delay_bounds_consistent(trace):

@@ -179,3 +179,20 @@ def test_simplex_agrees_with_highs_on_random_bounded_lps(c, seed):
     assert fast.status is SolverStatus.OPTIMAL
     assert slow.status is SolverStatus.OPTIMAL
     assert slow.objective == pytest.approx(fast.objective, abs=1e-5)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_simplex_keeps_a_variable_fixed_at_a_nonzero_level(sign):
+    """A Phase-I artificial left basic at zero must not grow in Phase II."""
+    problem = _lp(
+        [0.0, sign],
+        np.zeros((0, 2)),
+        [],
+        [],
+        x_lower=[0.0, 1.0],
+        x_upper=[1.0, 1.0],
+    )
+    result = solve_lp_simplex(problem)
+    assert result.status is SolverStatus.OPTIMAL
+    assert result.objective == pytest.approx(sign, abs=1e-9)
+    assert result.x[1] == pytest.approx(1.0, abs=1e-9)
