@@ -9,7 +9,7 @@ smaller default trace (whose constraint graph has fewer vertices than
 """
 
 from benchmarks.conftest import BOUND_SAMPLE, FIG10_CUTS, simulated_trace
-from repro.analysis.experiments import evaluate_bounds
+from repro.analysis.experiments import evaluate_domo_bounds
 from repro.analysis.tables import format_sweep_table
 from repro.core.pipeline import DomoConfig
 
@@ -24,14 +24,12 @@ def _cut_sweep(trace, cuts=FIG10_CUTS, sample=BOUND_SAMPLE, methods=None):
     rows = []
     for cut in cuts:
         config = DomoConfig(graph_cut_size=cut)
-        result = evaluate_bounds(
+        widths, per_bound_ms, cut_methods = evaluate_domo_bounds(
             trace, domo_config=config, max_packets=sample
         )
-        rows.append(
-            [cut, result.domo.mean, result.domo_time_per_bound_ms]
-        )
+        rows.append([cut, widths.mean, per_bound_ms])
         if methods is not None:
-            methods[cut] = result.domo_methods
+            methods[cut] = cut_methods
     return rows
 
 

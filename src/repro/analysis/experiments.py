@@ -130,17 +130,16 @@ def evaluate_accuracy(
     )
 
 
-def evaluate_bounds(
+def evaluate_domo_bounds(
     trace: TraceBundle,
     domo_config: DomoConfig | None = None,
-    mnt_config: MntConfig | None = None,
     max_packets: int | None = None,
-) -> BoundsComparison:
-    """Bound widths of Domo vs MNT.
+) -> tuple[ErrorStats, float, dict[str, int]]:
+    """Domo's half of :func:`evaluate_bounds`: delay bound width stats,
+    ms per bound, and bounds per method ("lp", "lp_relaxed", "interval").
 
-    ``max_packets`` limits Domo's LP targets (the paper reports per-bound
-    cost, so sampling preserves the metric while bounding runtime); MNT is
-    cheap and always bounds everything.
+    ``max_packets`` limits the LP targets (the paper reports per-bound
+    cost, so sampling preserves the metric while bounding runtime).
     """
     packets = trace.received
     wanted = None
@@ -151,17 +150,37 @@ def evaluate_bounds(
     domo_widths = []
     for pid in set(key.packet_id for key in bounds.bounds):
         domo_widths.extend(hi - lo for lo, hi in bounds.delay_bounds(pid))
+    methods = Counter(entry.method for entry in bounds.bounds.values())
+    return (
+        bound_width_stats(domo_widths),
+        bounds.time_per_bound_ms,
+        dict(methods),
+    )
 
+
+def evaluate_bounds(
+    trace: TraceBundle,
+    domo_config: DomoConfig | None = None,
+    mnt_config: MntConfig | None = None,
+    max_packets: int | None = None,
+) -> BoundsComparison:
+    """Bound widths of Domo vs MNT.
+
+    ``max_packets`` limits Domo's LP targets (see
+    :func:`evaluate_domo_bounds`); MNT is cheap and always bounds
+    everything.
+    """
+    domo, per_bound_ms, methods = evaluate_domo_bounds(
+        trace, domo_config, max_packets
+    )
     mnt = MntReconstructor(
         mnt_config or substrate_mnt_config()
     ).reconstruct(trace)
     return BoundsComparison(
-        domo=bound_width_stats(domo_widths),
+        domo=domo,
         mnt=bound_width_stats(mnt.delay_widths()),
-        domo_time_per_bound_ms=bounds.time_per_bound_ms,
-        domo_methods=dict(
-            Counter(entry.method for entry in bounds.bounds.values())
-        ),
+        domo_time_per_bound_ms=per_bound_ms,
+        domo_methods=methods,
     )
 
 

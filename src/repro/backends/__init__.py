@@ -1,11 +1,10 @@
 """Pluggable per-window estimator backends.
 
-Importing this package registers the four built-in backends:
+Importing this package registers the three built-in backends, the
+paper's Fig. 6 comparison set:
 
 * ``domo-qp`` — the paper's Eq. (8) minimum-delay-variance QP (default;
   also takes the SDR lift under ``fifo_mode="sdr"``);
-* ``cs`` — compressed-sensing delay tomography (ISTA/OMP sparse
-  recovery over the window's routing matrix);
 * ``mnt`` — MNT bracketing midpoints (SenSys'12 baseline);
 * ``message-tracing`` — order-only uniform spacing (baseline).
 
@@ -26,21 +25,17 @@ from repro.backends.base import (
     register_backend,
 )
 from repro.backends.baselines import MessageTracingBackend, MntBackend
-from repro.backends.cs import CsBackend, CsConfig
 from repro.backends.domo_qp import DomoQpBackend, EstimatorConfig
 
 #: the default backend name (the paper's estimator).
 DEFAULT_BACKEND = "domo-qp"
 
 register_backend(DomoQpBackend())
-register_backend(CsBackend())
 register_backend(MntBackend())
 register_backend(MessageTracingBackend())
 
 __all__ = [
     "BackendCapabilities",
-    "CsBackend",
-    "CsConfig",
     "DEFAULT_BACKEND",
     "DomoQpBackend",
     "EstimatorBackend",

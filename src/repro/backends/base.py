@@ -12,7 +12,7 @@ A backend consumes one sealed window (a
 produces a :class:`WindowSolution`: estimates for the unknown
 :class:`~repro.core.records.ArrivalKey` quantities plus the solver
 metadata the telemetry layer records. Backends are registered under
-short stable names (``domo-qp``, ``cs``, ``mnt``, ``message-tracing``)
+short stable names (``domo-qp``, ``mnt``, ``message-tracing``)
 and resolved with :func:`get_backend`; unknown names raise
 :class:`UnknownBackendError` listing what *is* registered.
 """
@@ -34,7 +34,7 @@ class WindowSolution:
         estimates: value per unknown :class:`ArrivalKey` of the window
             (knowns are never included).
         solver: short solver label recorded in window telemetry
-            (e.g. ``"linearized"``, ``"sdr"``, ``"cs-ista"``).
+            (e.g. ``"linearized"``, ``"sdr"``, ``"mnt"``).
         result: the numeric solver's
             :class:`~repro.optim.result.SolverResult` when one ran, for
             iteration/residual telemetry; ``None`` for closed-form or
@@ -55,16 +55,12 @@ class BackendCapabilities:
             (order + sum + FIFO rows) rather than an approximation.
         supports_relaxation: whether re-solving a ladder-relaxed system
             with this backend is meaningful. Backends that never consume
-            the constraint rows (the baselines, the CS engine) return
-            the same answer at every rung, so the ladder skips them.
-        cost_rank: coarse relative per-window cost, 0 = cheapest. Used
-            by the degradation ladder to decide what counts as a
-            *downgrade* (only strictly cheaper backends are eligible).
+            the constraint rows (the baselines) return the same answer
+            at every rung, so the ladder skips them.
     """
 
     exact: bool = True
     supports_relaxation: bool = True
-    cost_rank: int = 0
 
 
 class EstimatorBackend:
@@ -72,7 +68,7 @@ class EstimatorBackend:
 
     Subclasses implement :meth:`solve_window`; the spec passed in is the
     :class:`~repro.runtime.executor.WindowSolveSpec` of the run, which
-    carries every backend's config (``estimator``, ``sdr``, ``cs``) so
+    carries every backend's config (``estimator``, ``sdr``) so
     one frozen picklable object can cross the process-pool boundary
     regardless of which backend the worker dispatches to.
     """

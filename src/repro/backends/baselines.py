@@ -2,7 +2,7 @@
 
 These adapters put the paper's two comparison baselines behind the same
 per-window :class:`~repro.backends.base.EstimatorBackend` contract as
-the Domo QP and the CS engine, so a stream — or the benchmark harness —
+the Domo QP, so a stream — or the benchmark harness —
 can swap them in by name and every downstream consumer (window state
 machine, serve tier, run reports) works unchanged.
 
@@ -38,9 +38,7 @@ class MntBackend(EstimatorBackend):
     """
 
     name = "mnt"
-    capabilities = BackendCapabilities(
-        exact=False, supports_relaxation=False, cost_rank=1
-    )
+    capabilities = BackendCapabilities(exact=False, supports_relaxation=False)
 
     def solve_window(
         self, system: ConstraintSystem, spec
@@ -78,9 +76,7 @@ class MessageTracingBackend(EstimatorBackend):
     """
 
     name = "message-tracing"
-    capabilities = BackendCapabilities(
-        exact=False, supports_relaxation=False, cost_rank=0
-    )
+    capabilities = BackendCapabilities(exact=False, supports_relaxation=False)
 
     def solve_window(
         self, system: ConstraintSystem, spec

@@ -291,9 +291,7 @@ class DomoQpBackend(EstimatorBackend):
     """
 
     name = "domo-qp"
-    capabilities = BackendCapabilities(
-        exact=True, supports_relaxation=True, cost_rank=2
-    )
+    capabilities = BackendCapabilities(exact=True, supports_relaxation=True)
 
     def solve_window(
         self, system: ConstraintSystem, spec

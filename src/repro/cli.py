@@ -193,8 +193,7 @@ def _format_backends() -> str:
         default = "  (default)" if name == DEFAULT_BACKEND else ""
         lines.append(
             f"{name:16s} exact={str(caps.exact).lower():5s} "
-            f"relaxation={str(caps.supports_relaxation).lower():5s} "
-            f"cost_rank={caps.cost_rank}{default}"
+            f"relaxation={str(caps.supports_relaxation).lower():5s}{default}"
         )
     return "\n".join(lines)
 
@@ -512,33 +511,38 @@ def _free_port(host: str) -> int:
         return sock.getsockname()[1]
 
 
-def _serve_child_argv(args, *, port) -> list[str]:
-    """The child command line for ``--supervise``: the same serve
-    invocation, minus ``--supervise`` itself, with the port pinned."""
-    argv = [sys.executable, "-m", "repro.cli", "serve"]
-    if args.socket is not None:
-        argv += ["--socket", args.socket]
-    if port is not None:
-        argv += ["--host", args.host, "--port", str(port)]
-    argv += [
+def _engine_argv(args) -> list[str]:
+    """A ``domo serve`` command line carrying the parent's engine flags;
+    the supervised child and every route shard extend it with their
+    listener, WAL and report arguments."""
+    argv = [
+        sys.executable, "-m", "repro.cli", "serve",
         "--max-sessions", str(args.max_sessions),
         "--lateness-ms", str(args.lateness_ms),
         "--chunk", str(args.chunk),
         "--queue-capacity", str(args.queue_capacity),
         "--validate", args.validate,
+        "--fsync", args.fsync,
+        "--snapshot-interval", str(args.snapshot_interval),
         "--adoption-grace-ms", str(args.adoption_grace_ms),
-        "--max-line-bytes", str(args.max_line_bytes),
     ]
     if args.workers is not None:
         argv += ["--workers", str(args.workers)]
-    if getattr(args, "backend", None):
+    if args.backend:
         argv += ["--backend", args.backend]
+    return argv
+
+
+def _serve_child_argv(args, *, port) -> list[str]:
+    """The child command line for ``--supervise``: the same serve
+    invocation, minus ``--supervise`` itself, with the port pinned."""
+    argv = _engine_argv(args) + ["--max-line-bytes", str(args.max_line_bytes)]
+    if args.socket is not None:
+        argv += ["--socket", args.socket]
+    if port is not None:
+        argv += ["--host", args.host, "--port", str(port)]
     if args.wal_dir is not None:
-        argv += [
-            "--wal-dir", args.wal_dir,
-            "--fsync", args.fsync,
-            "--snapshot-interval", str(args.snapshot_interval),
-        ]
+        argv += ["--wal-dir", args.wal_dir]
     if args.metrics_out:
         argv += ["--metrics-out", args.metrics_out]
     return argv
@@ -648,27 +652,14 @@ def _cmd_route(args) -> int:
         shard_dir.mkdir(parents=True, exist_ok=True)
         shard_socket = str(state_dir / f"{name}.sock")
         metrics_path = str(shard_dir / "report.json")
-        shard_argv = [
-            sys.executable, "-m", "repro.cli", "serve",
+        shard_argv = _engine_argv(args) + [
             "--socket", shard_socket,
             "--wal-dir", str(shard_dir / "wal"),
-            "--fsync", args.fsync,
-            "--snapshot-interval", str(args.snapshot_interval),
-            "--max-sessions", str(args.max_sessions),
-            "--lateness-ms", str(args.lateness_ms),
-            "--chunk", str(args.chunk),
-            "--queue-capacity", str(args.queue_capacity),
-            "--validate", args.validate,
-            "--adoption-grace-ms", str(args.adoption_grace_ms),
             # IMPORT lines carry a whole exported stream; the socket is
             # internal, so the hostile-client line cap does not apply.
             "--max-line-bytes", str(MAX_ADMIN_LINE_BYTES),
             "--metrics-out", metrics_path,
         ]
-        if args.workers is not None:
-            shard_argv += ["--workers", str(args.workers)]
-        if getattr(args, "backend", None):
-            shard_argv += ["--backend", args.backend]
         specs.append(
             ShardSpec(
                 name, shard_socket, argv=shard_argv,
@@ -728,6 +719,72 @@ def _add_metrics_out(parser: argparse.ArgumentParser) -> None:
              "stage trace; schema domo.run_report/1) to this JSON file; "
              "inspect it with 'domo report PATH'",
     )
+
+
+def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags ``serve`` and ``route`` share, declared once (a route
+    shard is a supervised ``domo serve``; see :func:`_engine_argv`)."""
+    parser.add_argument(
+        "--socket", type=str, default=None, metavar="PATH",
+        help="listen for clients on this unix-domain socket")
+    parser.add_argument(
+        "--host", type=str, default="127.0.0.1",
+        help="TCP bind address (default 127.0.0.1)")
+    parser.add_argument(
+        "--port", type=int, default=None,
+        help="listen for clients on this TCP port (0 picks a free one)")
+    parser.add_argument(
+        "--max-sessions", type=_positive_int, default=64,
+        help="admission limit on concurrently active streams per server "
+             "(default 64); excess streams get a clean error line")
+    parser.add_argument(
+        "--workers", type=_positive_int, default=None,
+        help="solve sealed windows on a shared process pool with this "
+             "many workers per server (>1 enables parallel execution)")
+    parser.add_argument(
+        "--lateness-ms", type=float, default=float("inf"),
+        help="watermark allowance per stream (default 'inf': all "
+             "sealing deferred to FLUSH/shutdown, making served results "
+             "bit-identical to 'domo estimate' for any interleaving)")
+    parser.add_argument(
+        "--chunk", type=_positive_int, default=256,
+        help="max records per engine ingest call (default 256)")
+    parser.add_argument(
+        "--queue-capacity", type=_positive_int, default=1024,
+        help="per-stream ingest queue bound; a full queue pauses that "
+             "connection's reader (backpressure) instead of buffering "
+             "without bound (default 1024)")
+    parser.add_argument(
+        "--validate", choices=("off", "strict", "repair", "drop"),
+        default="repair",
+        help="ingest validation mode for every stream (default: repair)")
+    parser.add_argument(
+        "--fsync", choices=("always", "interval", "never"),
+        default="interval",
+        help="WAL fsync policy (default interval: bounded-loss batching "
+             "of disk syncs; 'always' syncs every append; 'never' "
+             "still survives process death, not power loss)")
+    parser.add_argument(
+        "--snapshot-interval", type=int, default=256, metavar="N",
+        help="snapshot a stream's engine state every N WAL records so "
+             "recovery replays at most N records (default 256; 0 "
+             "disables periodic snapshots — recovery replays the "
+             "whole WAL)")
+    parser.add_argument(
+        "--adoption-grace-ms", type=float, default=250.0, metavar="MS",
+        help="how long a drained stream stays queryable for adoption "
+             "by a new connection before eviction (default 250)")
+    parser.add_argument(
+        "--max-restarts", type=int, default=5, metavar="N",
+        help="crash-loop breaker of a supervised server (serve "
+             "--supervise, or each route shard): consecutive fast "
+             "failures tolerated before it is given up on (default 5)")
+    parser.add_argument(
+        "--backoff-ms", type=float, default=200.0, metavar="MS",
+        help="base restart delay of a supervised server, doubled per "
+             "consecutive fast failure (default 200)")
+    _add_backend_argument(parser)
+    _add_metrics_out(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -859,62 +916,13 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="multi-stream reconstruction service over unix/TCP sockets",
     )
-    serve.add_argument(
-        "--socket", type=str, default=None, metavar="PATH",
-        help="listen on this unix-domain socket")
-    serve.add_argument(
-        "--host", type=str, default="127.0.0.1",
-        help="TCP bind address (default 127.0.0.1)")
-    serve.add_argument(
-        "--port", type=int, default=None,
-        help="listen on this TCP port (0 picks a free one)")
-    serve.add_argument(
-        "--max-sessions", type=_positive_int, default=64,
-        help="admission limit on concurrently active streams "
-             "(default 64); excess streams get a clean error line")
-    serve.add_argument(
-        "--workers", type=_positive_int, default=None,
-        help="solve sealed windows on a shared process pool with this "
-             "many workers (>1 enables parallel execution)")
-    serve.add_argument(
-        "--lateness-ms", type=float, default=float("inf"),
-        help="watermark allowance per stream (default 'inf': all "
-             "sealing deferred to FLUSH/shutdown, making served results "
-             "bit-identical to 'domo estimate' for any interleaving)")
-    serve.add_argument(
-        "--chunk", type=_positive_int, default=256,
-        help="max records per engine ingest call (default 256)")
-    serve.add_argument(
-        "--queue-capacity", type=_positive_int, default=1024,
-        help="per-stream ingest queue bound; a full queue pauses that "
-             "connection's reader (backpressure) instead of buffering "
-             "without bound (default 1024)")
-    serve.add_argument(
-        "--validate", choices=("off", "strict", "repair", "drop"),
-        default="repair",
-        help="ingest validation mode for every stream (default: repair)")
+    _add_serve_arguments(serve)
     serve.add_argument(
         "--wal-dir", type=str, default=None, metavar="DIR",
         help="enable durability: write-ahead-log every ingest batch "
              "under this directory and snapshot engine state, so a "
              "killed server recovers every acknowledged record on "
              "restart (one subdirectory per stream)")
-    serve.add_argument(
-        "--fsync", choices=("always", "interval", "never"),
-        default="interval",
-        help="WAL fsync policy (default interval: bounded-loss batching "
-             "of disk syncs; 'always' syncs every append; 'never' "
-             "still survives process death, not power loss)")
-    serve.add_argument(
-        "--snapshot-interval", type=int, default=256, metavar="N",
-        help="snapshot a stream's engine state every N WAL records so "
-             "recovery replays at most N records (default 256; 0 "
-             "disables periodic snapshots — recovery replays the "
-             "whole WAL)")
-    serve.add_argument(
-        "--adoption-grace-ms", type=float, default=250.0, metavar="MS",
-        help="how long a drained stream stays queryable for adoption "
-             "by a new connection before eviction (default 250)")
     serve.add_argument(
         "--max-line-bytes", type=_positive_int, default=1 << 20,
         metavar="N",
@@ -927,16 +935,6 @@ def build_parser() -> argparse.ArgumentParser:
              "on crash with exponential backoff, give up with a named "
              "CrashLoopError when it keeps dying at boot (e.g. a "
              "corrupt WAL)")
-    serve.add_argument(
-        "--max-restarts", type=int, default=5, metavar="N",
-        help="with --supervise: consecutive fast failures tolerated "
-             "before the crash-loop breaker trips (default 5)")
-    serve.add_argument(
-        "--backoff-ms", type=float, default=200.0, metavar="MS",
-        help="with --supervise: base restart delay, doubled per "
-             "consecutive fast failure (default 200)")
-    _add_backend_argument(serve)
-    _add_metrics_out(serve)
     serve.set_defaults(handler=_cmd_serve)
 
     route = commands.add_parser(
@@ -944,6 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sharded serve tier: consistent-hash router over N "
              "supervised shard processes",
     )
+    _add_serve_arguments(route)
     route.add_argument(
         "--shards", type=_positive_int, default=2, metavar="N",
         help="number of shard processes to spawn (default 2), each a "
@@ -952,15 +951,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--state-dir", type=str, required=True, metavar="DIR",
         help="tier state root: per-shard sockets, WAL dirs, shutdown "
              "reports, and the router's routing.json live here")
-    route.add_argument(
-        "--socket", type=str, default=None, metavar="PATH",
-        help="client-facing unix-domain socket")
-    route.add_argument(
-        "--host", type=str, default="127.0.0.1",
-        help="client-facing TCP bind address (default 127.0.0.1)")
-    route.add_argument(
-        "--port", type=int, default=None,
-        help="client-facing TCP port (0 picks a free one)")
     route.add_argument(
         "--replicas", type=_positive_int, default=64, metavar="N",
         help="virtual points per shard on the consistent-hash ring "
@@ -971,49 +961,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="total ceiling on one shard failover (reconnect dials + "
              "backoff), bounding the client-visible stall (default "
              "15000)")
-    route.add_argument(
-        "--max-sessions", type=_positive_int, default=64,
-        help="per-shard admission limit on active streams (default 64)")
-    route.add_argument(
-        "--workers", type=_positive_int, default=None,
-        help="per-shard solver pool workers (>1 enables parallel "
-             "execution inside each shard)")
-    route.add_argument(
-        "--lateness-ms", type=float, default=float("inf"),
-        help="per-stream watermark allowance (default 'inf': sealing "
-             "deferred to FLUSH/shutdown for bit-parity with "
-             "'domo estimate')")
-    route.add_argument(
-        "--chunk", type=_positive_int, default=256,
-        help="per-shard max records per engine ingest call (default 256)")
-    route.add_argument(
-        "--queue-capacity", type=_positive_int, default=1024,
-        help="per-stream ingest queue bound on each shard (default 1024)")
-    route.add_argument(
-        "--validate", choices=("off", "strict", "repair", "drop"),
-        default="repair",
-        help="ingest validation mode for every stream (default: repair)")
-    route.add_argument(
-        "--fsync", choices=("always", "interval", "never"),
-        default="interval",
-        help="shard WAL fsync policy (default interval)")
-    route.add_argument(
-        "--snapshot-interval", type=int, default=256, metavar="N",
-        help="shard snapshot cadence in WAL records (default 256)")
-    route.add_argument(
-        "--adoption-grace-ms", type=float, default=250.0, metavar="MS",
-        help="shard-side eviction grace for orphaned streams "
-             "(default 250)")
-    route.add_argument(
-        "--max-restarts", type=int, default=5, metavar="N",
-        help="per-shard crash-loop breaker: consecutive fast failures "
-             "tolerated before the shard is given up on (default 5)")
-    route.add_argument(
-        "--backoff-ms", type=float, default=200.0, metavar="MS",
-        help="per-shard base restart delay, doubled per consecutive "
-             "fast failure (default 200)")
-    _add_backend_argument(route)
-    _add_metrics_out(route)
     route.set_defaults(handler=_cmd_route)
     return parser
 

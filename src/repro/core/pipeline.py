@@ -21,7 +21,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 
-from repro.backends import CsConfig, DEFAULT_BACKEND, backend_names
+from repro.backends import DEFAULT_BACKEND, backend_names
 from repro.backends.domo_qp import EstimatorConfig
 from repro.core.bounds import BoundComputer, BoundResult, BoundsConfig
 from repro.core.constraints import ConstraintConfig, build_constraints
@@ -101,14 +101,9 @@ class DomoConfig:
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     sdr: SdrConfig = field(default_factory=SdrConfig)
     #: estimator backend by registry name: "domo-qp" (the paper's Eq. (8)
-    #: QP, default), "cs" (compressed-sensing tomography), or one of the
-    #: baselines ("mnt", "message-tracing"). See :mod:`repro.backends`.
+    #: QP, default) or one of the baselines ("mnt", "message-tracing").
+    #: See :mod:`repro.backends`.
     backend: str = DEFAULT_BACKEND
-    cs: CsConfig = field(default_factory=CsConfig)
-    #: let the degradation ladder re-solve a window with the cheap "cs"
-    #: backend when every relaxed re-solve of the configured backend
-    #: failed, instead of surrendering straight to interval midpoints.
-    backend_downgrade: bool = False
 
     def __post_init__(self) -> None:
         if self.fifo_mode not in FIFO_MODES:
@@ -153,8 +148,6 @@ class DomoConfig:
             estimator=self.estimator,
             sdr=self.sdr,
             backend=self.backend,
-            cs=self.cs,
-            allow_backend_downgrade=self.backend_downgrade,
         )
 
 

@@ -45,7 +45,6 @@ from repro.obs.report import (
     write_run_report,
 )
 from repro.obs.solver_telemetry import (
-    SOLVER_KINDS,
     WindowTelemetry,
     format_telemetry_report,
     summarize_telemetry,
@@ -62,7 +61,6 @@ __all__ = [
     "ITERATION_EDGES",
     "RESIDUAL_EDGES",
     "RUN_REPORT_SCHEMA",
-    "SOLVER_KINDS",
     "TIME_EDGES_S",
     "Counter",
     "Gauge",

@@ -27,21 +27,6 @@ from repro.obs.registry import (
     MetricsRegistry,
 )
 
-#: solver kinds a window solve can report. The first four are the
-#: ``domo-qp`` backend's (and the midpoint fallback); the rest come from
-#: the alternative estimator backends (:mod:`repro.backends`).
-SOLVER_KINDS = (
-    "linearized",
-    "sdr",
-    "fallback",
-    "empty",
-    "cs-ista",
-    "cs-omp",
-    "mnt",
-    "message-tracing",
-)
-
-
 @dataclass(frozen=True)
 class WindowTelemetry:
     """Observability record of one window solve."""
@@ -74,8 +59,7 @@ class WindowTelemetry:
     relax_stage: str = "full"
     #: solve attempts made on this window (1 = first try succeeded).
     solve_attempts: int = 1
-    #: estimator backend that produced the estimates (registry name;
-    #: may differ from the configured backend after a ladder downgrade).
+    #: estimator backend that produced the estimates (registry name).
     backend: str = "domo-qp"
 
     def as_dict(self) -> dict:

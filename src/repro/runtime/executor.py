@@ -36,12 +36,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pickle import PicklingError
 
-from repro.backends import (
-    DEFAULT_BACKEND,
-    CsConfig,
-    EstimatorConfig,
-    get_backend,
-)
+from repro.backends import DEFAULT_BACKEND, EstimatorConfig, get_backend
 from repro.core.preprocessor import WindowSystem
 from repro.core.records import ArrivalKey
 from repro.core.sdr import SdrConfig
@@ -59,9 +54,9 @@ from repro.optim.result import SolverError
 class WindowSolveSpec:
     """Everything a worker needs to solve one window (picklable).
 
-    Carries every backend's config (``estimator``, ``sdr``, ``cs``) so
-    one frozen object crosses the process-pool boundary regardless of
-    which registered backend ``backend`` names.
+    Carries every backend's config (``estimator``, ``sdr``) so one
+    frozen object crosses the process-pool boundary regardless of which
+    registered backend ``backend`` names.
     """
 
     fifo_mode: str = "linearized"
@@ -69,11 +64,6 @@ class WindowSolveSpec:
     sdr: SdrConfig = field(default_factory=SdrConfig)
     #: registry name of the estimator backend (see :mod:`repro.backends`).
     backend: str = DEFAULT_BACKEND
-    cs: CsConfig = field(default_factory=CsConfig)
-    #: allow the degradation ladder's final pre-midpoint rung: re-solve
-    #: a window whose configured backend failed every relaxation with
-    #: the cheaper ``cs`` backend instead of surrendering to midpoints.
-    allow_backend_downgrade: bool = False
 
 
 @dataclass
@@ -121,14 +111,9 @@ RELAXATION_LADDER: tuple[tuple[str, object], ...] = (
     ),
 )
 
-#: rung index reported when every relaxation failed and the window was
-#: re-solved by the cheaper ``cs`` backend (only when the spec enables
-#: ``allow_backend_downgrade`` and the configured backend is costlier).
-BACKEND_DOWNGRADE_RUNG = len(RELAXATION_LADDER) + 1
-
 #: rung index reported when even the order-only system failed and the
 #: window fell back to interval midpoints.
-MIDPOINT_RUNG = len(RELAXATION_LADDER) + 2
+MIDPOINT_RUNG = len(RELAXATION_LADDER) + 1
 
 
 def _relaxed_system(system, keep):
@@ -175,7 +160,6 @@ def _solve_one_window_inner(
     started = time.perf_counter()
     system = ws.system
     backend = get_backend(spec.backend)
-    solved_by = backend.name
     solver = "linearized"
     status = "optimal"
     iterations = 0
@@ -214,28 +198,6 @@ def _solve_one_window_inner(
                     break
                 except SolverError:
                     continue
-        if estimates is None and spec.allow_backend_downgrade:
-            # Pre-midpoint rung: downgrade the window to the cheap CS
-            # backend. Only a *downgrade* is eligible — a backend no
-            # costlier than CS gains nothing from the swap.
-            downgraded = get_backend("cs")
-            if (
-                downgraded.capabilities.cost_rank
-                < backend.capabilities.cost_rank
-            ):
-                try:
-                    attempts += 1
-                    solution = downgraded.solve_window(system, spec)
-                    estimates, result, solver = (
-                        solution.estimates,
-                        solution.result,
-                        solution.solver,
-                    )
-                    solved_by = downgraded.name
-                    relax_rung = BACKEND_DOWNGRADE_RUNG
-                    relax_stage = "cs_downgrade"
-                except SolverError:
-                    pass
         if estimates is None:
             solver = "fallback"
             status = "fallback"
@@ -270,7 +232,7 @@ def _solve_one_window_inner(
         relax_rung=relax_rung,
         relax_stage=relax_stage,
         solve_attempts=attempts,
-        backend=solved_by,
+        backend=backend.name,
     )
     return WindowResult(
         window_index=window_index, estimates=kept, telemetry=telemetry

@@ -489,10 +489,11 @@ class SessionManager:
         recovered sessions exist before any client can reach them.
         Recovered streams bypass the admission cap (refusing to recover
         durable state because of a limit meant for *new* streams would
-        turn a restart into data loss). WAL corruption and snapshot
-        config mismatches raise — a server must not come up pretending
-        to have state it cannot truthfully rebuild; the supervisor's
-        circuit breaker surfaces the named error after repeated failures.
+        turn a restart into data loss). WAL corruption, snapshot config
+        mismatches and unregistered stream backends raise — a server
+        must not come up pretending to have state it cannot truthfully
+        rebuild; the supervisor's circuit breaker surfaces the named
+        error after repeated failures.
         """
         summary: dict[str, dict] = {}
         if self.durability is None:
@@ -520,7 +521,17 @@ class SessionManager:
         fatal (raised from the writer's open or the replay iterator).
         """
         state_dir = stream_state_dir(self.durability.wal_dir, stream_id)
-        config = self._effective_config(self._read_backend_meta(state_dir))
+        try:
+            config = self._effective_config(
+                self._read_backend_meta(state_dir)
+            )
+        except ValueError as exc:
+            # The stream was opened under a backend this build does not
+            # register (e.g. one since removed).
+            raise RecoveryError(
+                f"stream {stream_id!r}: {exc}; restore a build that "
+                f"registers it or clear {state_dir}"
+            ) from exc
         config_sig = self._sig_for(config)
         durability = StreamDurability(
             self.durability, stream_id, config_sig=config_sig

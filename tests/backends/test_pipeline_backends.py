@@ -3,7 +3,7 @@
 The load-bearing guarantees: the ``domo-qp`` refactor is *bit-exact*
 (moving Eq. (8) behind the backend contract changed no estimate), every
 backend covers the same unknowns through the same window machinery, and
-the ladder's pre-midpoint ``cs_downgrade`` rung only fires when asked.
+a window whose every ladder rung fails surrenders to interval midpoints.
 """
 
 import pytest
@@ -15,7 +15,6 @@ from repro.core.pipeline import DomoConfig, DomoReconstructor
 from repro.core.preprocessor import build_window_systems
 from repro.optim.result import SolverError, SolverStatus
 from repro.runtime.executor import (
-    BACKEND_DOWNGRADE_RUNG,
     MIDPOINT_RUNG,
     RELAXATION_LADDER,
     WindowSolveSpec,
@@ -81,16 +80,18 @@ def test_every_backend_covers_the_same_unknowns():
     assert len({frozenset(keys) for keys in coverage.values()}) == 1
 
 
-def test_cs_backend_flows_through_the_batch_pipeline():
+def test_message_tracing_backend_flows_through_the_batch_pipeline():
     packets = _stream()
     qp = DomoReconstructor(DomoConfig()).estimate(packets)
-    cs = DomoReconstructor(DomoConfig(backend="cs")).estimate(packets)
-    # Same coverage, different estimator: the per-node approximation
-    # cannot reproduce the QP's per-packet values on this trace.
-    assert set(cs.estimates) == set(qp.estimates)
-    assert cs.estimates != qp.estimates
-    windows = cs.stats["windows"]
-    assert cs.stats["backend_windows"] == {"cs": windows}
+    tracing = DomoReconstructor(
+        DomoConfig(backend="message-tracing")
+    ).estimate(packets)
+    # Same coverage, different estimator: uniform spacing cannot
+    # reproduce the QP's per-packet values on this trace.
+    assert set(tracing.estimates) == set(qp.estimates)
+    assert tracing.estimates != qp.estimates
+    windows = tracing.stats["windows"]
+    assert tracing.stats["backend_windows"] == {"message-tracing": windows}
     assert qp.stats["backend_windows"] == {"domo-qp": windows}
 
 
@@ -98,33 +99,7 @@ def _always_failing(system, config=None):
     raise SolverError(SolverStatus.NUMERICAL_ERROR, "forced failure")
 
 
-def test_ladder_downgrades_to_cs_when_allowed(monkeypatch):
-    ws = _systems()[0]
-    monkeypatch.setattr(
-        "repro.backends.domo_qp.estimate_arrival_times_info",
-        _always_failing,
-    )
-    spec = WindowSolveSpec(allow_backend_downgrade=True)
-    result = solve_one_window(0, ws, spec)
-    telemetry = result.telemetry
-    assert telemetry.relax_rung == BACKEND_DOWNGRADE_RUNG
-    assert telemetry.relax_stage == "cs_downgrade"
-    assert telemetry.backend == "cs"
-    assert telemetry.solver == "cs-ista"
-    assert telemetry.status != "fallback"
-    # Full ladder walked first, then one downgrade attempt.
-    assert telemetry.solve_attempts == 1 + len(RELAXATION_LADDER) + 1
-    # A real CS solve happened: estimates are not interval midpoints.
-    assert result.estimates
-    midpoints = sum(
-        result.estimates[key]
-        == pytest.approx(0.5 * sum(ws.system.intervals[key]))
-        for key in result.estimates
-    )
-    assert midpoints < len(result.estimates)
-
-
-def test_ladder_surrenders_to_midpoints_without_the_opt_in(monkeypatch):
+def test_ladder_surrenders_to_midpoints(monkeypatch):
     ws = _systems()[0]
     monkeypatch.setattr(
         "repro.backends.domo_qp.estimate_arrival_times_info",
@@ -136,24 +111,18 @@ def test_ladder_surrenders_to_midpoints_without_the_opt_in(monkeypatch):
     assert telemetry.relax_stage == "midpoints"
     assert telemetry.backend == "domo-qp"
     assert telemetry.solver == "fallback"
+    # The whole ladder was walked, and midpoints are its next rung.
+    assert telemetry.solve_attempts == 1 + len(RELAXATION_LADDER)
+    assert MIDPOINT_RUNG == len(RELAXATION_LADDER) + 1
     for key, value in result.estimates.items():
         lo, hi = ws.system.intervals[key]
         assert value == pytest.approx(0.5 * (lo + hi))
 
 
-def test_backend_downgrade_config_knob_reaches_the_spec():
-    spec = DomoConfig(backend_downgrade=True).solve_spec()
-    assert spec.allow_backend_downgrade is True
-    default = DomoConfig().solve_spec()
-    assert default.allow_backend_downgrade is False
-    assert default.backend == "domo-qp"
-    cs_spec = DomoConfig(backend="cs").solve_spec()
-    assert cs_spec.backend == "cs"
-
-
-def test_unknown_backend_rejected_at_config_time():
+@pytest.mark.parametrize("name", ["nope", "cs"])
+def test_unknown_backend_rejected_at_config_time(name):
     with pytest.raises(ValueError, match="not registered"):
-        DomoConfig(backend="nope")
+        DomoConfig(backend=name)
 
 
 def test_backend_windows_summary_across_a_sweep():

@@ -14,7 +14,7 @@ from repro.backends import (
 
 
 def test_builtin_backends_are_registered():
-    assert backend_names() == ["cs", "domo-qp", "message-tracing", "mnt"]
+    assert backend_names() == ["domo-qp", "message-tracing", "mnt"]
     assert DEFAULT_BACKEND == "domo-qp"
     assert DEFAULT_BACKEND in backend_names()
 
@@ -26,20 +26,15 @@ def test_get_backend_returns_the_registered_singleton():
         assert backend is get_backend(name)
 
 
-def test_capabilities_encode_the_cost_order():
+def test_only_domo_qp_is_exact_and_relaxable():
     qp = get_backend("domo-qp")
-    cs = get_backend("cs")
-    mnt = get_backend("mnt")
-    tracing = get_backend("message-tracing")
     # Only the paper's QP honors the full constraint system, and only it
     # gains anything from a ladder-relaxed re-solve.
     assert qp.capabilities.exact and qp.capabilities.supports_relaxation
-    for approx in (cs, mnt, tracing):
+    for name in ("mnt", "message-tracing"):
+        approx = get_backend(name)
         assert not approx.capabilities.exact
         assert not approx.capabilities.supports_relaxation
-    # "Downgrade" is well defined: cs is strictly cheaper than the QP.
-    assert cs.capabilities.cost_rank < qp.capabilities.cost_rank
-    assert tracing.capabilities.cost_rank <= mnt.capabilities.cost_rank
 
 
 def test_unknown_backend_is_a_value_error_listing_names():

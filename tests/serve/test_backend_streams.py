@@ -1,21 +1,24 @@
 """Per-stream estimator backends through the serve tier.
 
 The acceptance criterion of the backend subsystem: a served stream
-opened with ``"backend": "cs"`` returns CS results while a concurrent
+opened with ``"backend": "mnt"`` returns MNT results while a concurrent
 default (``domo-qp``) stream on the same server stays *bit-identical* to
-a server that never saw a CS stream. Plus the admission semantics (a
+a server that never saw an MNT stream. Plus the admission semantics (a
 backend choice binds at stream open, conflicts are rejected, unknown
-names never open a stream) and durability (a crashed CS stream recovers
-as a CS stream).
+names never open a stream) and durability (a crashed MNT stream
+recovers as an MNT stream; one opened under a backend this build does
+not register fails recovery by name).
 """
 
+import json
 import threading
 
 import pytest
 
 from repro.core.pipeline import DomoConfig, DomoReconstructor
 from repro.serve.client import connect
-from repro.serve.durability import DurabilityConfig
+from repro.serve.durability import DurabilityConfig, stream_state_dir
+from repro.serve.durability.recovery import RecoveryError
 from repro.serve.server import ReconstructionServer, run_in_thread
 from repro.serve.session import BackendMismatchError, SessionManager
 from repro.sim import NetworkConfig, simulate_network
@@ -45,13 +48,13 @@ def sock_path(tmp_path):
 def test_backend_binds_at_stream_open_and_conflicts_reject():
     manager = SessionManager(DomoConfig())
     try:
-        session = manager.get_or_create("s", backend="cs")
-        assert session.backend == "cs"
-        assert session.config.backend == "cs"
+        session = manager.get_or_create("s", backend="mnt")
+        assert session.backend == "mnt"
+        assert session.config.backend == "mnt"
         # No choice on the wire, or the same choice again: the live
         # session answers.
         assert manager.get_or_create("s") is session
-        assert manager.get_or_create("s", backend="cs") is session
+        assert manager.get_or_create("s", backend="mnt") is session
         with pytest.raises(BackendMismatchError, match="cannot switch"):
             manager.get_or_create("s", backend="domo-qp")
         # The default stream keeps the shared config object untouched.
@@ -79,13 +82,13 @@ def test_manager_runs_both_backends_without_contamination():
     manager = SessionManager(DomoConfig())
     try:
         qp = manager.get_or_create("qp")
-        cs = manager.get_or_create("cstream", backend="cs")
+        mnt = manager.get_or_create("mstream", backend="mnt")
         for lo in range(0, len(packets), 13):
             qp.ingest(packets[lo:lo + 13])
-            cs.ingest(packets[lo:lo + 13])
+            mnt.ingest(packets[lo:lo + 13])
         manager.drain_all()
         assert manager.stats()["streams"]["qp"]["backend"] == "domo-qp"
-        assert manager.stats()["streams"]["cstream"]["backend"] == "cs"
+        assert manager.stats()["streams"]["mstream"]["backend"] == "mnt"
 
         from repro.serve.protocol import arrival_key_of
 
@@ -96,13 +99,13 @@ def test_manager_runs_both_backends_without_contamination():
                     estimates[arrival_key_of(text)] = value
             return estimates
 
-        qp_estimates, cs_estimates = merged(qp), merged(cs)
+        qp_estimates, mnt_estimates = merged(qp), merged(mnt)
         # The domo-qp stream is bit-identical to a batch run — sharing
-        # the pool with a CS stream changed nothing.
+        # the pool with an MNT stream changed nothing.
         assert qp_estimates == reference.estimates
-        # The CS stream covered the same unknowns with its own values.
-        assert set(cs_estimates) == set(qp_estimates)
-        assert cs_estimates != qp_estimates
+        # The MNT stream covered the same unknowns with its own values.
+        assert set(mnt_estimates) == set(qp_estimates)
+        assert mnt_estimates != qp_estimates
     finally:
         manager.close()
 
@@ -110,10 +113,10 @@ def test_manager_runs_both_backends_without_contamination():
 # -- over the wire -------------------------------------------------------
 
 
-def test_served_cs_stream_leaves_concurrent_qp_stream_unaffected(sock_path):
+def test_served_mnt_stream_leaves_concurrent_qp_stream_unaffected(sock_path):
     packets = _packets()
 
-    def run_server(feed_cs):
+    def run_server(feed_mnt):
         handle = run_in_thread(
             ReconstructionServer(DomoConfig(), socket_path=sock_path)
         )
@@ -132,9 +135,9 @@ def test_served_cs_stream_leaves_concurrent_qp_stream_unaffected(sock_path):
                     failures.append(exc)
 
             threads = [threading.Thread(target=feed, args=("qp", None))]
-            if feed_cs:
+            if feed_mnt:
                 threads.append(
-                    threading.Thread(target=feed, args=("cstream", "cs"))
+                    threading.Thread(target=feed, args=("mstream", "mnt"))
                 )
             for thread in threads:
                 thread.start()
@@ -144,21 +147,21 @@ def test_served_cs_stream_leaves_concurrent_qp_stream_unaffected(sock_path):
             with connect(socket_path=sock_path) as query:
                 assert query.flush("qp")["ok"]
                 qp = query.estimates("qp")
-                cs = None
-                if feed_cs:
-                    assert query.flush("cstream")["ok"]
-                    cs = query.estimates("cstream")
-            return qp, cs
+                mnt = None
+                if feed_mnt:
+                    assert query.flush("mstream")["ok"]
+                    mnt = query.estimates("mstream")
+            return qp, mnt
         finally:
             handle.stop()
 
-    with_cs, cs = run_server(feed_cs=True)
-    alone, _ = run_server(feed_cs=False)
+    with_mnt, mnt = run_server(feed_mnt=True)
+    alone, _ = run_server(feed_mnt=False)
     # The criterion: the domo-qp stream is bit-identical whether or not
-    # a CS stream ran concurrently on the same server and pool.
-    assert with_cs == alone
-    assert set(cs) == set(with_cs)
-    assert cs != with_cs
+    # an MNT stream ran concurrently on the same server and pool.
+    assert with_mnt == alone
+    assert set(mnt) == set(with_mnt)
+    assert mnt != with_mnt
 
 
 def test_backend_conflict_on_a_live_stream_is_an_async_error(sock_path):
@@ -171,7 +174,7 @@ def test_backend_conflict_on_a_live_stream_is_an_async_error(sock_path):
             client.send_packets(packets[:10], stream="s")
             assert client.health()["ok"]
             assert not client.async_errors
-            client.send_packet(packets[10], stream="s", backend="cs")
+            client.send_packet(packets[10], stream="s", backend="mnt")
             assert client.health()["ok"]
             assert any(
                 "cannot switch" in error.get("error", "")
@@ -193,7 +196,7 @@ def test_backend_conflict_on_a_live_stream_is_an_async_error(sock_path):
 # -- durability ----------------------------------------------------------
 
 
-def test_crashed_cs_stream_recovers_as_a_cs_stream(tmp_path):
+def test_crashed_mnt_stream_recovers_as_an_mnt_stream(tmp_path):
     packets = _packets()
 
     def manager():
@@ -205,7 +208,7 @@ def test_crashed_cs_stream_recovers_as_a_cs_stream(tmp_path):
         )
 
     crashed = manager()
-    session = crashed.get_or_create("s", backend="cs")
+    session = crashed.get_or_create("s", backend="mnt")
     for lo in range(0, len(packets), 16):
         session.ingest(packets[lo:lo + 16])
     session.flush()
@@ -220,8 +223,8 @@ def test_crashed_cs_stream_recovers_as_a_cs_stream(tmp_path):
         session = recovered.get("s")
         # The backend survives the crash — via snapshot or, before the
         # first snapshot, the backend meta file next to the WAL.
-        assert session.backend == "cs"
-        assert session.config.backend == "cs"
+        assert session.backend == "mnt"
+        assert session.config.backend == "mnt"
         assert session.results == expected  # bit-identical replay
     finally:
         recovered.close()
@@ -234,7 +237,7 @@ def test_backend_meta_alone_recovers_pre_snapshot_crash(tmp_path):
         wal_dir=tmp_path / "wal", snapshot_interval=10_000
     )
     crashed = SessionManager(DomoConfig(), durability=durability)
-    session = crashed.get_or_create("s", backend="cs")
+    session = crashed.get_or_create("s", backend="mnt")
     session.ingest(packets[:32])
     crashed.pool.close()
 
@@ -242,6 +245,27 @@ def test_backend_meta_alone_recovers_pre_snapshot_crash(tmp_path):
     try:
         summary = recovered.recover_all()
         assert summary["s"]["snapshot_cursor"] is None
-        assert recovered.get("s").backend == "cs"
+        assert recovered.get("s").backend == "mnt"
+    finally:
+        recovered.close()
+
+
+def test_recovery_names_a_stream_whose_backend_is_unregistered(tmp_path):
+    durability = DurabilityConfig(wal_dir=tmp_path / "wal")
+    crashed = SessionManager(DomoConfig(), durability=durability)
+    crashed.get_or_create("old", backend="mnt").ingest(_packets()[:8])
+    crashed.pool.close()
+    # The stream was opened under a backend this build does not have.
+    stream_dir = stream_state_dir(durability.wal_dir, "old")
+    (stream_dir / "backend.json").write_text(json.dumps({"backend": "cs"}))
+
+    recovered = SessionManager(DomoConfig(), durability=durability)
+    try:
+        with pytest.raises(RecoveryError) as excinfo:
+            recovered.recover_all()
+        message = str(excinfo.value)
+        assert "'old'" in message
+        assert "'cs'" in message
+        assert str(stream_dir) in message
     finally:
         recovered.close()

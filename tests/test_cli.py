@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -43,6 +45,21 @@ def test_estimate_command_with_workers_and_stats(capsys):
     assert "windows solved" in out
     assert "execution mode       : parallel (workers: 2)" in out
     assert "status tally" in out
+
+
+def test_list_backends_prints_the_registered_set(capsys):
+    assert main(["estimate", "--list-backends"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "domo-qp", "message-tracing", "mnt",
+    ]
+
+
+def test_removed_backend_is_refused_at_parse_time(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["estimate", "--backend", "cs"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'cs'" in capsys.readouterr().err
 
 
 def test_report_command(capsys):
@@ -340,3 +357,70 @@ def test_stream_follow_ingests_records_appended_byte_by_byte(
         writer.join()
     assert code == 0
     assert committed_of(capsys.readouterr().out) == expected
+
+
+#: engine flags set away from their defaults, so forwarding is visible.
+ENGINE_FLAGS = [
+    "--max-sessions", "3", "--workers", "2", "--lateness-ms", "1500.5",
+    "--chunk", "7", "--queue-capacity", "9", "--validate", "drop",
+    "--fsync", "always", "--snapshot-interval", "5",
+    "--adoption-grace-ms", "12.5", "--backend", "mnt",
+]
+#: what a supervised child and every route shard inherit from the parent.
+FORWARDED = (
+    "max_sessions", "workers", "lateness_ms", "chunk", "queue_capacity",
+    "validate", "fsync", "snapshot_interval", "adoption_grace_ms",
+    "backend",
+)
+
+
+def _reparse_serve(argv):
+    """A child command line back through the parser it was written for."""
+    assert argv[:4] == [sys.executable, "-m", "repro.cli", "serve"]
+    return build_parser().parse_args(argv[3:])
+
+
+@pytest.mark.parametrize(
+    "flags", [ENGINE_FLAGS, []], ids=["set", "defaults"]
+)
+def test_supervised_child_argv_forwards_every_serve_flag(tmp_path, flags):
+    from repro.cli import _serve_child_argv
+
+    args = build_parser().parse_args(
+        ["serve", "--supervise", "--socket", str(tmp_path / "s.sock"),
+         "--wal-dir", str(tmp_path / "wal"), "--metrics-out", "r.json",
+         "--max-line-bytes", "4096", *flags]
+    )
+    child = _reparse_serve(_serve_child_argv(args, port=4321))
+    for name in FORWARDED + (
+        "socket", "host", "wal_dir", "metrics_out", "max_line_bytes"
+    ):
+        assert getattr(child, name) == getattr(args, name), name
+    assert child.port == 4321
+    assert not child.supervise
+
+
+def test_route_shard_argv_forwards_every_engine_flag(tmp_path, monkeypatch):
+    captured = []
+
+    class Captured(Exception):
+        pass
+
+    def capture(specs, **kwargs):
+        captured.extend(specs)
+        raise Captured
+
+    monkeypatch.setattr("repro.serve.router.RouterServer", capture)
+    argv = ["route", "--shards", "2", "--state-dir", str(tmp_path),
+            "--socket", str(tmp_path / "r.sock"), *ENGINE_FLAGS]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(Captured):
+        main(argv)
+    assert [spec.name for spec in captured] == ["shard-0", "shard-1"]
+    for spec in captured:
+        shard = _reparse_serve(spec.argv)
+        for name in FORWARDED:
+            assert getattr(shard, name) == getattr(args, name), name
+        assert shard.socket == spec.socket_path
+        assert shard.wal_dir == str(tmp_path / spec.name / "wal")
+        assert shard.metrics_out == spec.metrics_path
