@@ -18,6 +18,7 @@ from repro.analysis.tables import format_sweep_table
 from repro.core.bounds import BoundComputer, BoundsConfig
 from repro.core.constraints import ConstraintConfig, build_constraints
 from repro.core.records import TraceIndex
+from repro.optim.linalg import as_dense
 from repro.optim.lp import LinearProgram, solve_lp, solve_lp_simplex
 from repro.optim.qp import QPProblem, solve_qp
 
@@ -55,7 +56,7 @@ def test_qp_matches_slsqp(benchmark, fig6_trace):
     assert result.status.is_usable
 
     n = problem.num_variables
-    A = problem.A.toarray()
+    A = as_dense(problem.A)
     constraints = []
     for i in range(A.shape[0]):
         if np.isfinite(problem.upper[i]):

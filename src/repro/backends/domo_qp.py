@@ -13,7 +13,9 @@ the order/sum/resolved-FIFO rows it is a QP solved by
 midpoints selects a canonical solution when the variance objective alone
 is indifferent (e.g. packets with no epsilon-neighbor). Rows with two or
 more unknowns that the interval box already implies stay in the window's
-system but are left out of the QP (:func:`droppable_rows`).
+system but are left out of the QP (:func:`droppable_rows`). A window with
+few unknowns (:func:`~repro.optim.linalg.is_dense_size`) assembles its
+QP as dense arrays, larger ones as CSC; both hold the same entries.
 
 This module is the historical ``repro.core.estimator`` moved behind the
 :class:`~repro.backends.base.EstimatorBackend` contract;
@@ -37,6 +39,7 @@ from repro.backends.base import (
 )
 from repro.core.constraints import ConstraintSystem
 from repro.core.records import ArrivalKey, KeySpace
+from repro.optim.linalg import is_dense_size
 from repro.optim.modeling import implied_rows
 from repro.optim.qp import QPProblem, QPSettings, solve_qp
 from repro.optim.result import SolverError, SolverResult
@@ -138,12 +141,14 @@ def pair_form(
 
 def pair_objective(
     space: KeySpace, xs: list[int], ys: list[int], n: int, t_ref: float
-) -> tuple[sp.csc_matrix, np.ndarray]:
+) -> tuple[np.ndarray | sp.csc_matrix, np.ndarray]:
     """``P`` and ``q`` of the sum over pairs of ``(D_n(x) - D_n(y))^2``.
 
     Each pair is :func:`pair_form` of ``x`` and ``y`` (frame ``t - t_ref``)
     and a row of the difference matrix D, so P is ``2 D'D``: its entries
-    are sums of +-2, exact in any order. Known times fold into each pair's
+    are sums of +-2, exact in any order, so the dense P of a small window
+    (:func:`~repro.optim.linalg.is_dense_size`) equals the CSC P of a
+    larger one entry for entry. Known times fold into each pair's
     constant in :func:`pair_form`'s term order (an unknown term adds +0.0,
     which leaves a sum that starts at +0.0 unchanged), and ``(a'x + c)^2``
     adds ``2*c*a`` to q, accumulated in pair order, so P and q are
@@ -158,14 +163,22 @@ def pair_objective(
         unknown, 0.0, coefficients * (np.asarray(space.value)[keys] - t_ref)
     )
     constant = 0.0 + folded[:, 0] + folded[:, 1] + folded[:, 2] + folded[:, 3]
-    counts = unknown.sum(axis=1)
-    indptr = np.concatenate(([0], np.cumsum(counts[counts > 0])))
-    D = sp.csr_matrix(
-        (coefficients[unknown], columns[unknown], indptr),
-        shape=(len(indptr) - 1, n),
-    )
-    P = (2.0 * (D.T @ D)).tocsc()
-    P.sort_indices()
+    if is_dense_size(n):
+        # Pairs with no unknown leave zero rows, which add nothing.
+        D = np.zeros((len(keys), n))
+        np.add.at(
+            D, (np.nonzero(unknown)[0], columns[unknown]), coefficients[unknown]
+        )
+        P = 2.0 * (D.T @ D)
+    else:
+        counts = unknown.sum(axis=1)
+        indptr = np.concatenate(([0], np.cumsum(counts[counts > 0])))
+        D = sp.csr_matrix(
+            (coefficients[unknown], columns[unknown], indptr),
+            shape=(len(indptr) - 1, n),
+        )
+        P = (2.0 * (D.T @ D)).tocsc()
+        P.sort_indices()
     q = np.zeros(n)
     np.add.at(
         q, columns[unknown], ((2.0 * constant)[:, None] * coefficients)[unknown]
@@ -193,22 +206,27 @@ def droppable_rows(
     return (np.diff(A.indptr) >= 2) & implied
 
 
-def _stack_box(A: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
+def _stack_box(
+    A: sp.csr_matrix, keep: np.ndarray
+) -> np.ndarray | sp.csr_matrix:
     """The rows of ``A`` marked in ``keep`` above one identity row per
-    column (the interval box), as one CSR built from ``A``'s arrays."""
+    column (the interval box), built from ``A``'s arrays: dense for a
+    small window (:func:`~repro.optim.linalg.is_dense_size`), else CSR."""
     n = A.shape[1]
     counts = np.diff(A.indptr)
     entries = np.repeat(keep, counts)
     ends = np.cumsum(counts[keep])
     box_ends = (ends[-1] if len(ends) else 0) + np.arange(1, n + 1)
-    return sp.csr_matrix(
-        (
-            np.concatenate((A.data[entries], np.ones(n))),
-            np.concatenate((A.indices[entries], np.arange(n))),
-            np.concatenate(([0], ends, box_ends)),
-        ),
-        shape=(len(ends) + n, n),
-    )
+    data = np.concatenate((A.data[entries], np.ones(n)))
+    indices = np.concatenate((A.indices[entries], np.arange(n)))
+    indptr = np.concatenate(([0], ends, box_ends))
+    shape = (len(ends) + n, n)
+    if is_dense_size(n):
+        stacked = np.zeros(shape)
+        rows = np.repeat(np.arange(shape[0]), np.diff(indptr))
+        np.add.at(stacked, (rows, indices), data)
+        return stacked
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def estimate_arrival_times(
@@ -250,9 +268,13 @@ def estimate_arrival_times_info(
     _, xs, ys = objective_pairs(system, config)
     P, q = pair_objective(system.index.key_space, xs, ys, n, t_ref)
 
-    # Anchor: lambda * ||x - mid||^2 selects a canonical solution.
+    # Anchor: lambda * ||x - mid||^2 selects a canonical solution; the
+    # identity adds to P's diagonal only, in either form.
     lam = config.anchor_weight
-    P = P + 2.0 * lam * sp.identity(n, format="csc")
+    identity = (
+        sp.identity(n, format="csc") if sp.issparse(P) else np.eye(n)
+    )
+    P = P + 2.0 * lam * identity
     q = q - 2.0 * lam * midpoints
 
     # --- constraints: builder rows the box leaves open + interval box ---

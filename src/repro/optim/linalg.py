@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 def symmetrize(matrix: np.ndarray) -> np.ndarray:
@@ -44,47 +45,90 @@ def mat_symmetric(vector: np.ndarray, dim: int) -> np.ndarray:
     return symmetrize(np.asarray(vector, dtype=float).reshape(dim, dim))
 
 
+#: problems over at most this many variables are held as dense numpy
+#: arrays and their KKT matrix factored by LAPACK; larger ones stay CSC
+#: with SuperLU. Below it scipy.sparse's fixed per-call cost dominates
+#: the solve; set from the measured crossover (DESIGN §3, "Small
+#: windows").
+DENSE_MAX_VARIABLES = 128
+
+
+def is_dense_size(num_variables: int) -> bool:
+    """Whether a problem over ``num_variables`` variables takes the dense
+    form (at most :data:`DENSE_MAX_VARIABLES`)."""
+    return num_variables <= DENSE_MAX_VARIABLES
+
+
 class KKTFactorization:
     """Cached factorization of the ADMM normal-equation matrix.
 
     ADMM iterations repeatedly solve ``(P + sigma*I + rho*A'A) x = rhs``
     with fixed ``P``, ``A`` and penalty parameters; factor once and reuse.
-    Falls back from sparse LU to a dense least-squares style solve when the
-    sparse factorization fails (e.g. a numerically singular system).
+    Sparse ``P`` and ``A`` are factored by SuperLU, dense ones (both the
+    same form) by LAPACK's Cholesky; :attr:`form` names which. Either
+    falls back to a pseudo-inverse when its factorization fails: SuperLU
+    on a numerically singular system, Cholesky on one that is not
+    positive definite (a nonzero ``potrf`` info).
     """
 
     def __init__(
         self,
-        quadratic: sp.spmatrix,
-        constraints: sp.spmatrix,
+        quadratic,
+        constraints,
         sigma: float,
         rho: float,
     ) -> None:
         n = quadratic.shape[0]
-        system = (
-            sp.csc_matrix(quadratic)
-            + sigma * sp.identity(n, format="csc")
-            + rho * (constraints.T @ constraints)
-        )
-        self._dense_inverse: np.ndarray | None = None
-        try:
-            self._lu = spla.splu(sp.csc_matrix(system))
-        except RuntimeError:
-            self._lu = None
-            dense = system.toarray()
-            self._dense_inverse = np.linalg.pinv(dense)
+        self.form = "sparse" if sp.issparse(quadratic) else "dense"
+        self._lu = self._cholesky = self._dense_inverse = None
+        if self.form == "sparse":
+            system = (
+                sp.csc_matrix(quadratic)
+                + sigma * sp.identity(n, format="csc")
+                + rho * (constraints.T @ constraints)
+            )
+            try:
+                self._lu = spla.splu(sp.csc_matrix(system))
+                return
+            except RuntimeError:
+                system = system.toarray()
+        else:
+            system = (
+                quadratic
+                + sigma * np.eye(n)
+                + rho * (constraints.T @ constraints)
+            )
+            cholesky, info = dpotrf(system)
+            if info == 0:
+                self._cholesky = cholesky
+                return
+        self._dense_inverse = np.linalg.pinv(system)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the cached system for a right-hand side."""
         if self._lu is not None:
             return self._lu.solve(rhs)
-        assert self._dense_inverse is not None
+        if self._cholesky is not None:
+            return dpotrs(self._cholesky, rhs)[0]
         return self._dense_inverse @ rhs
 
 
 def as_csc(matrix, shape: tuple[int, int] | None = None) -> sp.csc_matrix:
     """Coerce dense/sparse input to CSC, validating the shape if given."""
     result = sp.csc_matrix(matrix)
+    if shape is not None and result.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {result.shape}")
+    return result
+
+
+def as_dense(matrix, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Coerce dense/sparse input to a 2-D float array, validating the
+    shape if given (a float array passes through uncopied)."""
+    result = np.atleast_2d(
+        np.asarray(
+            matrix.toarray() if sp.issparse(matrix) else matrix, dtype=float
+        )
+    )
     if shape is not None and result.shape != shape:
         raise ValueError(f"expected shape {shape}, got {result.shape}")
     return result

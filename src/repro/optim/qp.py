@@ -16,6 +16,12 @@ The penalty ``rho`` adapts as in OSQP (Stellato et al., §5.2): at each
 residual check that does not stop, the balance of the scaled primal and
 dual residuals proposes a new ``rho``, which is taken, and the KKT matrix
 refactored, only when it moves by more than :data:`RHO_REFACTOR_RATIO`.
+
+A problem over at most :data:`~repro.optim.linalg.DENSE_MAX_VARIABLES`
+variables holds ``P`` and ``A`` as dense arrays and factors its KKT
+matrix by Cholesky, larger ones hold CSC and use SuperLU
+(:func:`~repro.optim.linalg.is_dense_size`); one iteration, written over
+``@``, serves both forms.
 """
 
 from __future__ import annotations
@@ -27,7 +33,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.obs.solver_telemetry import record_solver_result
-from repro.optim.linalg import KKTFactorization, as_csc
+from repro.optim.linalg import (
+    KKTFactorization,
+    as_csc,
+    as_dense,
+    is_dense_size,
+)
 from repro.optim.result import SolverResult, SolverStatus
 
 
@@ -59,11 +70,17 @@ class QPSettings:
 
 @dataclass
 class QPProblem:
-    """Data of one QP instance ``min 0.5 x'Px + q'x  s.t.  l <= Ax <= u``."""
+    """Data of one QP instance ``min 0.5 x'Px + q'x  s.t.  l <= Ax <= u``.
 
-    P: sp.spmatrix
+    ``P`` and ``A`` are coerced to the form the variable count selects
+    (:func:`~repro.optim.linalg.is_dense_size`): dense arrays for small
+    problems, CSC otherwise. Read them through
+    :func:`~repro.optim.linalg.as_dense` when a dense copy is wanted.
+    """
+
+    P: np.ndarray | sp.spmatrix
     q: np.ndarray
-    A: sp.spmatrix
+    A: np.ndarray | sp.spmatrix
     lower: np.ndarray
     upper: np.ndarray
     settings: QPSettings = field(default_factory=QPSettings)
@@ -71,8 +88,9 @@ class QPProblem:
     def __post_init__(self) -> None:
         self.q = np.asarray(self.q, dtype=float).ravel()
         n = self.q.shape[0]
-        self.P = as_csc(self.P, (n, n))
-        self.A = as_csc(self.A)
+        coerce = as_dense if is_dense_size(n) else as_csc
+        self.P = coerce(self.P, (n, n))
+        self.A = coerce(self.A)
         if self.A.shape[1] != n:
             raise ValueError(
                 f"A has {self.A.shape[1]} columns, expected {n}"
@@ -119,25 +137,30 @@ def solve_qp(
         result.solve_time_s = time.perf_counter() - started
         return record_solver_result("qp", result)
 
+    A, At, P, q = problem.A, problem.A.T, problem.P, problem.q
+    lower, upper = problem.lower, problem.upper
+    sigma, alpha = cfg.sigma, cfg.alpha
+    beta = 1.0 - alpha
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    z = np.clip(problem.A @ x, problem.lower, problem.upper)
+    # np.minimum(np.maximum(.)) is np.clip's definition, at a fraction of
+    # its per-call cost on small vectors.
+    z = np.minimum(np.maximum(A @ x, lower), upper)
     y = np.zeros(m)
 
     rho = cfg.rho
-    kkt = KKTFactorization(problem.P, problem.A, cfg.sigma, rho)
+    kkt = KKTFactorization(P, A, sigma, rho)
     refactorizations = 0
-    A, At = problem.A, problem.A.T
     status = SolverStatus.ITERATION_LIMIT
     primal_res = dual_res = float("inf")
     iteration = 0
     for iteration in range(1, cfg.max_iterations + 1):
         # OSQP iteration (Stellato et al., Algorithm 1) with relaxation.
-        rhs = cfg.sigma * x - problem.q + At @ (rho * z - y)
+        rhs = sigma * x - q + At @ (rho * z - y)
         x_tilde = kkt.solve(rhs)
         z_tilde = A @ x_tilde
-        x = cfg.alpha * x_tilde + (1.0 - cfg.alpha) * x
-        z_relaxed = cfg.alpha * z_tilde + (1.0 - cfg.alpha) * z
-        z_new = np.clip(z_relaxed + y / rho, problem.lower, problem.upper)
+        x = alpha * x_tilde + beta * x
+        z_relaxed = alpha * z_tilde + beta * z
+        z_new = np.minimum(np.maximum(z_relaxed + y / rho, lower), upper)
         y = y + rho * (z_relaxed - z_new)
         z = z_new
 
@@ -155,7 +178,7 @@ def solve_qp(
             moved = max(proposed / rho, rho / proposed)
             if moved > RHO_REFACTOR_RATIO and iteration < cfg.max_iterations:
                 rho = proposed
-                kkt = KKTFactorization(problem.P, A, cfg.sigma, rho)
+                kkt = KKTFactorization(P, A, sigma, rho)
                 refactorizations += 1
 
     if status is SolverStatus.ITERATION_LIMIT:
@@ -188,6 +211,7 @@ def solve_qp(
                 "num_constraints": m,
                 "rho": rho,
                 "refactorizations": refactorizations,
+                "kkt": kkt.form,
             },
         ),
     )
@@ -196,7 +220,7 @@ def solve_qp(
 def _solve_unconstrained(problem: QPProblem) -> SolverResult:
     """Direct solve of ``min 0.5 x'Px + q'x`` (regularized when singular)."""
     n = problem.num_variables
-    dense = problem.P.toarray() + 1e-9 * np.eye(n)
+    dense = as_dense(problem.P) + 1e-9 * np.eye(n)
     try:
         x = np.linalg.solve(dense, -problem.q)
     except np.linalg.LinAlgError:

@@ -4,7 +4,7 @@
 unknowns that the interval box already implies; :func:`pair_objective`
 assembles P and q with numpy. The first must not change the feasible set
 and must keep every single-unknown row; the second must match a
-term-by-term assembly bit for bit.
+term-by-term assembly bit for bit, in both the dense and the CSC form.
 """
 
 import itertools
@@ -15,6 +15,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.scenarios import paper_scenario
+from repro.backends import domo_qp
 from repro.backends.domo_qp import (
     droppable_rows,
     estimate_arrival_times_info,
@@ -22,9 +24,15 @@ from repro.backends.domo_qp import (
     pair_form,
     pair_objective,
 )
+from repro.core.pipeline import DomoConfig
+from repro.optim import linalg
+from repro.optim.linalg import is_dense_size
 from repro.optim.modeling import ConstraintBuilder
+from repro.sim import simulate_network
+from repro.stream import StreamingReconstructor
 
 from tests.core.test_golden_systems import TRACES, _window_systems
+from tests.optim.test_qp import FORMS
 
 INF = float("inf")
 NUM_VARIABLES = 4
@@ -132,21 +140,28 @@ def _bits(array: np.ndarray) -> tuple:
 
 
 @pytest.mark.parametrize("name", sorted(TRACES))
-def test_pair_objective_is_bit_identical_to_pair_form(name):
-    for system, config in _solved_windows(name):
-        n = system.num_unknowns
-        space = system.index.key_space
-        t_ref = float(np.min(system.variable_bounds()[0]))
-        _, xs, ys = objective_pairs(system, config)
-        P, q = pair_objective(space, xs, ys, n, t_ref)
-        P_ref, q_ref = _reference_objective(space, xs, ys, n, t_ref)
-        for got, want in (
-            (P.indptr, P_ref.indptr),
-            (P.indices, P_ref.indices),
-            (P.data, P_ref.data),
-            (q, q_ref),
-        ):
-            assert _bits(got) == _bits(want)
+def test_pair_objective_is_bit_identical_to_pair_form(name, monkeypatch):
+    # Every window in both forms: the size rule's threshold at 0 keeps
+    # all of them CSC, a huge one makes all of them dense.
+    for dense_max in FORMS.values():
+        monkeypatch.setattr(linalg, "DENSE_MAX_VARIABLES", dense_max)
+        for system, config in _solved_windows(name):
+            n = system.num_unknowns
+            space = system.index.key_space
+            t_ref = float(np.min(system.variable_bounds()[0]))
+            _, xs, ys = objective_pairs(system, config)
+            P, q = pair_objective(space, xs, ys, n, t_ref)
+            P_ref, q_ref = _reference_objective(space, xs, ys, n, t_ref)
+            if is_dense_size(n):
+                pairs = [(P, P_ref.toarray())]
+            else:
+                pairs = [
+                    (P.indptr, P_ref.indptr),
+                    (P.indices, P_ref.indices),
+                    (P.data, P_ref.data),
+                ]
+            for got, want in pairs + [(q, q_ref)]:
+                assert _bits(got) == _bits(want)
 
 
 @pytest.mark.parametrize("name", sorted(TRACES))
@@ -163,3 +178,51 @@ def test_estimates_satisfy_every_dropped_row(name):
         assert np.all(values <= upper[dropped] + 1e-6)
         checked += int(dropped.sum())
     assert checked > 0
+
+
+def _stream_windows():
+    """Every window a 25-node stream solves at 2 s lateness, packets
+    ingested one at a time in sink-arrival order."""
+    trace = simulate_network(
+        paper_scenario(num_nodes=25, seed=1, duration_ms=60_000.0)
+    )
+    captured = []
+    solve = domo_qp.estimate_arrival_times_info
+
+    def capture(system, config):
+        captured.append((system, config))
+        return solve(system, config)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(domo_qp, "estimate_arrival_times_info", capture)
+        engine = StreamingReconstructor(DomoConfig(), lateness_ms=2_000.0)
+        for packet in sorted(trace.received, key=lambda p: p.sink_arrival_ms):
+            engine.ingest([packet])
+        engine.flush()
+        engine.close()
+    return captured
+
+
+@pytest.mark.parametrize("name", sorted(TRACES) + ["stream"])
+def test_every_window_solves_alike_in_both_forms(name, monkeypatch):
+    windows = (
+        _stream_windows() if name == "stream" else list(_solved_windows(name))
+    )
+    assert windows
+    for system, config in windows:
+        chosen, result = estimate_arrival_times_info(system, config)
+        solved = {}
+        for form, dense_max in FORMS.items():
+            monkeypatch.setattr(linalg, "DENSE_MAX_VARIABLES", dense_max)
+            solved[form] = estimate_arrival_times_info(system, config)
+            assert solved[form][1].info["kkt"] == form
+        monkeypatch.undo()
+        form = "dense" if is_dense_size(system.num_unknowns) else "sparse"
+        assert result.info["kkt"] == form
+        assert chosen == solved[form][0]
+        (sparse, sparse_result), (dense, dense_result) = (
+            solved["sparse"], solved["dense"]
+        )
+        assert dense_result.iterations == sparse_result.iterations
+        assert sparse.keys() == dense.keys()
+        assert max(abs(dense[k] - sparse[k]) for k in sparse) <= 1e-8
