@@ -16,9 +16,6 @@ Subcommands::
     domo serve     --socket domo.sock [--port 7734]
         Multi-stream reconstruction service over unix/TCP sockets
         (newline-delimited records in, strict-JSON query replies out).
-    domo route     --shards 3 --state-dir tier/ --socket domo.sock
-        Sharded serve tier: consistent-hash router over N supervised
-        shard processes with live stream migration (MIGRATE/DRAIN).
 
 Operational errors — a missing, truncated or non-JSON trace file —
 print a one-line message and exit with code 2 instead of a traceback.
@@ -511,10 +508,9 @@ def _free_port(host: str) -> int:
         return sock.getsockname()[1]
 
 
-def _engine_argv(args) -> list[str]:
-    """A ``domo serve`` command line carrying the parent's engine flags;
-    the supervised child and every route shard extend it with their
-    listener, WAL and report arguments."""
+def _serve_child_argv(args, *, port) -> list[str]:
+    """The child command line for ``--supervise``: the same serve
+    invocation, minus ``--supervise`` itself, with the port pinned."""
     argv = [
         sys.executable, "-m", "repro.cli", "serve",
         "--max-sessions", str(args.max_sessions),
@@ -530,13 +526,6 @@ def _engine_argv(args) -> list[str]:
         argv += ["--workers", str(args.workers)]
     if args.backend:
         argv += ["--backend", args.backend]
-    return argv
-
-
-def _serve_child_argv(args, *, port) -> list[str]:
-    """The child command line for ``--supervise``: the same serve
-    invocation, minus ``--supervise`` itself, with the port pinned."""
-    argv = _engine_argv(args) + ["--max-line-bytes", str(args.max_line_bytes)]
     if args.socket is not None:
         argv += ["--socket", args.socket]
     if port is not None:
@@ -607,7 +596,6 @@ def _cmd_serve(args) -> int:
         on_ready=on_ready,
         durability=durability,
         adoption_grace_s=args.adoption_grace_ms / 1000.0,
-        max_line_bytes=args.max_line_bytes,
     )
     # The server wraps itself in an isolated registry + root "run" span
     # and writes its own RunReport at drain, so no _run_with_metrics.
@@ -634,75 +622,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_route(args) -> int:
-    import asyncio
-    from pathlib import Path
-
-    from repro.serve.protocol import MAX_ADMIN_LINE_BYTES
-    from repro.serve.router import RouterServer, ShardSpec
-
-    if args.socket is None and args.port is None:
-        raise ValueError("domo route needs --socket and/or --port")
-    state_dir = Path(args.state_dir)
-    state_dir.mkdir(parents=True, exist_ok=True)
-    specs = []
-    for i in range(args.shards):
-        name = f"shard-{i}"
-        shard_dir = state_dir / name
-        shard_dir.mkdir(parents=True, exist_ok=True)
-        shard_socket = str(state_dir / f"{name}.sock")
-        metrics_path = str(shard_dir / "report.json")
-        shard_argv = _engine_argv(args) + [
-            "--socket", shard_socket,
-            "--wal-dir", str(shard_dir / "wal"),
-            # IMPORT lines carry a whole exported stream; the socket is
-            # internal, so the hostile-client line cap does not apply.
-            "--max-line-bytes", str(MAX_ADMIN_LINE_BYTES),
-            "--metrics-out", metrics_path,
-        ]
-        specs.append(
-            ShardSpec(
-                name, shard_socket, argv=shard_argv,
-                metrics_path=metrics_path,
-            )
-        )
-
-    def on_ready(router) -> None:
-        for endpoint in router.endpoints:
-            print(
-                f"routing on {endpoint} over {args.shards} shard(s)",
-                file=sys.stderr,
-            )
-
-    router = RouterServer(
-        specs,
-        socket_path=args.socket,
-        host=args.host,
-        port=args.port,
-        replicas=args.replicas,
-        state_dir=str(state_dir),
-        failover_deadline_s=args.failover_deadline_ms / 1000.0,
-        supervisor_max_restarts=args.max_restarts,
-        supervisor_backoff_s=args.backoff_ms / 1000.0,
-        metrics_out=args.metrics_out,
-        argv=list(sys.argv[1:]),
-        on_ready=on_ready,
-    )
-    # Like serve, the router wraps itself in an isolated registry and a
-    # root "run" span and writes its own (tier-wide) RunReport at drain.
-    report = asyncio.run(router.run())
-    stats = report.stats["router"]
-    print(
-        f"router drained: {stats['streams']} stream(s), "
-        f"{stats['records_accepted']} record(s) forwarded, "
-        f"{stats['migrations']} migration(s)",
-        file=sys.stderr,
-    )
-    if args.metrics_out:
-        print(f"metrics report        : {args.metrics_out}", file=sys.stderr)
-    return 0
-
-
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend", type=str, default=None, choices=backend_names(),
@@ -719,72 +638,6 @@ def _add_metrics_out(parser: argparse.ArgumentParser) -> None:
              "stage trace; schema domo.run_report/1) to this JSON file; "
              "inspect it with 'domo report PATH'",
     )
-
-
-def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
-    """The flags ``serve`` and ``route`` share, declared once (a route
-    shard is a supervised ``domo serve``; see :func:`_engine_argv`)."""
-    parser.add_argument(
-        "--socket", type=str, default=None, metavar="PATH",
-        help="listen for clients on this unix-domain socket")
-    parser.add_argument(
-        "--host", type=str, default="127.0.0.1",
-        help="TCP bind address (default 127.0.0.1)")
-    parser.add_argument(
-        "--port", type=int, default=None,
-        help="listen for clients on this TCP port (0 picks a free one)")
-    parser.add_argument(
-        "--max-sessions", type=_positive_int, default=64,
-        help="admission limit on concurrently active streams per server "
-             "(default 64); excess streams get a clean error line")
-    parser.add_argument(
-        "--workers", type=_positive_int, default=None,
-        help="solve sealed windows on a shared process pool with this "
-             "many workers per server (>1 enables parallel execution)")
-    parser.add_argument(
-        "--lateness-ms", type=float, default=float("inf"),
-        help="watermark allowance per stream (default 'inf': all "
-             "sealing deferred to FLUSH/shutdown, making served results "
-             "bit-identical to 'domo estimate' for any interleaving)")
-    parser.add_argument(
-        "--chunk", type=_positive_int, default=256,
-        help="max records per engine ingest call (default 256)")
-    parser.add_argument(
-        "--queue-capacity", type=_positive_int, default=1024,
-        help="per-stream ingest queue bound; a full queue pauses that "
-             "connection's reader (backpressure) instead of buffering "
-             "without bound (default 1024)")
-    parser.add_argument(
-        "--validate", choices=("off", "strict", "repair", "drop"),
-        default="repair",
-        help="ingest validation mode for every stream (default: repair)")
-    parser.add_argument(
-        "--fsync", choices=("always", "interval", "never"),
-        default="interval",
-        help="WAL fsync policy (default interval: bounded-loss batching "
-             "of disk syncs; 'always' syncs every append; 'never' "
-             "still survives process death, not power loss)")
-    parser.add_argument(
-        "--snapshot-interval", type=int, default=256, metavar="N",
-        help="snapshot a stream's engine state every N WAL records so "
-             "recovery replays at most N records (default 256; 0 "
-             "disables periodic snapshots — recovery replays the "
-             "whole WAL)")
-    parser.add_argument(
-        "--adoption-grace-ms", type=float, default=250.0, metavar="MS",
-        help="how long a drained stream stays queryable for adoption "
-             "by a new connection before eviction (default 250)")
-    parser.add_argument(
-        "--max-restarts", type=int, default=5, metavar="N",
-        help="crash-loop breaker of a supervised server (serve "
-             "--supervise, or each route shard): consecutive fast "
-             "failures tolerated before it is given up on (default 5)")
-    parser.add_argument(
-        "--backoff-ms", type=float, default=200.0, metavar="MS",
-        help="base restart delay of a supervised server, doubled per "
-             "consecutive fast failure (default 200)")
-    _add_backend_argument(parser)
-    _add_metrics_out(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -916,7 +769,67 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="multi-stream reconstruction service over unix/TCP sockets",
     )
-    _add_serve_arguments(serve)
+    serve.add_argument(
+        "--socket", type=str, default=None, metavar="PATH",
+        help="listen for clients on this unix-domain socket")
+    serve.add_argument(
+        "--host", type=str, default="127.0.0.1",
+        help="TCP bind address (default 127.0.0.1)")
+    serve.add_argument(
+        "--port", type=int, default=None,
+        help="listen for clients on this TCP port (0 picks a free one)")
+    serve.add_argument(
+        "--max-sessions", type=_positive_int, default=64,
+        help="admission limit on concurrently active streams "
+             "(default 64); excess streams get a clean error line")
+    serve.add_argument(
+        "--workers", type=_positive_int, default=None,
+        help="solve sealed windows on a shared process pool with this "
+             "many workers (>1 enables parallel execution)")
+    serve.add_argument(
+        "--lateness-ms", type=float, default=float("inf"),
+        help="watermark allowance per stream (default 'inf': all "
+             "sealing deferred to FLUSH/shutdown, making served results "
+             "bit-identical to 'domo estimate' for any interleaving)")
+    serve.add_argument(
+        "--chunk", type=_positive_int, default=256,
+        help="max records per engine ingest call (default 256)")
+    serve.add_argument(
+        "--queue-capacity", type=_positive_int, default=1024,
+        help="per-stream ingest queue bound; a full queue pauses that "
+             "connection's reader (backpressure) instead of buffering "
+             "without bound (default 1024)")
+    serve.add_argument(
+        "--validate", choices=("off", "strict", "repair", "drop"),
+        default="repair",
+        help="ingest validation mode for every stream (default: repair)")
+    serve.add_argument(
+        "--fsync", choices=("always", "interval", "never"),
+        default="interval",
+        help="WAL fsync policy (default interval: bounded-loss batching "
+             "of disk syncs; 'always' syncs every append; 'never' "
+             "still survives process death, not power loss)")
+    serve.add_argument(
+        "--snapshot-interval", type=int, default=256, metavar="N",
+        help="snapshot a stream's engine state every N WAL records so "
+             "recovery replays at most N records (default 256; 0 "
+             "disables periodic snapshots — recovery replays the "
+             "whole WAL)")
+    serve.add_argument(
+        "--adoption-grace-ms", type=float, default=250.0, metavar="MS",
+        help="how long a drained stream stays queryable for adoption "
+             "by a new connection before eviction (default 250)")
+    serve.add_argument(
+        "--max-restarts", type=int, default=5, metavar="N",
+        help="crash-loop breaker of --supervise: consecutive fast "
+             "failures tolerated before the server is given up on "
+             "(default 5)")
+    serve.add_argument(
+        "--backoff-ms", type=float, default=200.0, metavar="MS",
+        help="base restart delay of a supervised server, doubled per "
+             "consecutive fast failure (default 200)")
+    _add_backend_argument(serve)
+    _add_metrics_out(serve)
     serve.add_argument(
         "--wal-dir", type=str, default=None, metavar="DIR",
         help="enable durability: write-ahead-log every ingest batch "
@@ -924,44 +837,12 @@ def build_parser() -> argparse.ArgumentParser:
              "killed server recovers every acknowledged record on "
              "restart (one subdirectory per stream)")
     serve.add_argument(
-        "--max-line-bytes", type=_positive_int, default=1 << 20,
-        metavar="N",
-        help="per-connection readline limit (default 1 MiB); a router "
-             "raises this on its internal shard sockets so IMPORT "
-             "lines carrying a whole exported stream fit")
-    serve.add_argument(
         "--supervise", action="store_true",
         help="run the server in a supervised child process: restart it "
              "on crash with exponential backoff, give up with a named "
              "CrashLoopError when it keeps dying at boot (e.g. a "
              "corrupt WAL)")
     serve.set_defaults(handler=_cmd_serve)
-
-    route = commands.add_parser(
-        "route",
-        help="sharded serve tier: consistent-hash router over N "
-             "supervised shard processes",
-    )
-    _add_serve_arguments(route)
-    route.add_argument(
-        "--shards", type=_positive_int, default=2, metavar="N",
-        help="number of shard processes to spawn (default 2), each a "
-             "full durable reconstruction server with its own WAL dir")
-    route.add_argument(
-        "--state-dir", type=str, required=True, metavar="DIR",
-        help="tier state root: per-shard sockets, WAL dirs, shutdown "
-             "reports, and the router's routing.json live here")
-    route.add_argument(
-        "--replicas", type=_positive_int, default=64, metavar="N",
-        help="virtual points per shard on the consistent-hash ring "
-             "(default 64)")
-    route.add_argument(
-        "--failover-deadline-ms", type=float, default=15000.0,
-        metavar="MS",
-        help="total ceiling on one shard failover (reconnect dials + "
-             "backoff), bounding the client-visible stall (default "
-             "15000)")
-    route.set_defaults(handler=_cmd_route)
     return parser
 
 

@@ -220,7 +220,7 @@ class MetricsRegistry:
             hist = self._histograms.get(name)
             if hist is None:
                 hist = self._histograms[name] = Histogram(edges=edges)
-            elif hist.edges != tuple(float(e) for e in edges):
+            elif hist.edges != tuple(edges):
                 raise ValueError(
                     f"histogram {name!r} already registered with edges "
                     f"{hist.edges}, got {tuple(edges)}"

@@ -55,7 +55,6 @@ __all__ = [
     "build_run_report",
     "collect_env",
     "format_run_report",
-    "report_registry_snapshot",
     "sanitize_json",
     "validate_report",
     "write_run_report",
@@ -230,62 +229,6 @@ def write_run_report(path: str, report: RunReport) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(report.to_json())
         handle.write("\n")
-
-
-def report_registry_snapshot(data, *, prefix: str | None = None) -> dict:
-    """A report's metrics + spans as a registry-mergeable snapshot.
-
-    The inverse of what :func:`build_run_report` does to a registry,
-    modulo JSON sanitization (``None`` placeholders for the ``min``/
-    ``max`` infinities are restored). The router uses this to fold each
-    shard's shutdown report into its own registry; ``prefix`` re-roots
-    the shard's span paths (``shards/shard-0/run/serve``) so N shard
-    ``run`` roots neither collide with each other nor with the router's
-    own root span.
-    """
-    if isinstance(data, RunReport):
-        data = data.to_dict()
-    metrics = data.get("metrics", {}) or {}
-
-    def _finite(mapping: dict, key: str, default: float) -> float:
-        value = mapping.get(key)
-        return default if not isinstance(value, (int, float)) else value
-
-    gauges = {}
-    for name, entry in (metrics.get("gauges", {}) or {}).items():
-        gauges[name] = {
-            "last": _finite(entry, "last", 0.0),
-            "min": _finite(entry, "min", float("inf")),
-            "max": _finite(entry, "max", float("-inf")),
-            "samples": int(entry.get("samples", 0)),
-        }
-    histograms = {}
-    for name, entry in (metrics.get("histograms", {}) or {}).items():
-        histograms[name] = {
-            **entry,
-            "min": _finite(entry, "min", float("inf")),
-            "max": _finite(entry, "max", float("-inf")),
-        }
-    spans = {}
-    for entry in data.get("spans", []) or []:
-        path = entry.get("path")
-        if not path:
-            continue
-        if prefix:
-            path = f"{prefix}/{path}"
-        spans[path] = {
-            "count": int(entry.get("count", 0)),
-            "total_s": _finite(entry, "total_s", 0.0),
-            "min_s": _finite(entry, "min_s", float("inf")),
-            "max_s": _finite(entry, "max_s", float("-inf")),
-            "errors": int(entry.get("errors", 0)),
-        }
-    return {
-        "counters": dict(metrics.get("counters", {}) or {}),
-        "gauges": gauges,
-        "histograms": histograms,
-        "spans": spans,
-    }
 
 
 # ----------------------------------------------------------------------

@@ -1,20 +1,17 @@
-"""The reconstruction service layer: ``domo serve``/``domo route``.
+"""The reconstruction service layer: ``domo serve``.
 
 Layering (each module only imports downward)::
 
-    router     consistent-hash front door: N shard processes, live
-               stream migration, vector-cursor RESULTS, failover resync
     supervisor parent process: restart-on-crash, backoff, breaker
-    server     the serving core: per-stream pumps, eviction, commands
-               (incl. EXPORT/IMPORT migration), drain-on-SIGTERM
-    core       shared listener/connection front door (readers, strict-
-               JSON replies, signal wiring) for server and router
+    server     the serving core: per-stream pumps, eviction, commands,
+               drain-on-SIGTERM
+    core       listener/connection front door (readers, strict-JSON
+               replies, signal wiring)
     session    per-stream engine + registry + result log; admission,
-               WAL logging, snapshots, crash recovery, export/import
+               WAL logging, snapshots, crash recovery
     durability WAL segments, atomic snapshots, crashpoints
     pool       fair multiplexing of many engines onto one WindowExecutor
-    protocol   newline-delimited records/commands, strict-JSON replies,
-               vector cursors
+    protocol   newline-delimited records/commands, strict-JSON replies
     client     synchronous helper speaking the protocol (demo, CI,
                tests) with reconnect + resume-from-durable-offset
 """
@@ -29,7 +26,6 @@ from repro.serve.durability.recovery import (
 from repro.serve.durability.supervisor import CrashLoopError, Supervisor
 from repro.serve.pool import SessionExecutor, SharedSolverPool
 from repro.serve.protocol import DEFAULT_STREAM, ProtocolError
-from repro.serve.router import HashRing, RouterServer, ShardSpec
 from repro.serve.server import ReconstructionServer, ServerHandle, run_in_thread
 from repro.serve.session import SessionLimitError, SessionManager, StreamSession
 
@@ -37,18 +33,15 @@ __all__ = [
     "DEFAULT_STREAM",
     "CrashLoopError",
     "DurabilityConfig",
-    "HashRing",
     "LineProtocolServer",
     "ProtocolError",
     "ReconstructionServer",
     "RecoveryError",
-    "RouterServer",
     "ServeClient",
     "ServerHandle",
     "SessionExecutor",
     "SessionLimitError",
     "SessionManager",
-    "ShardSpec",
     "SharedSolverPool",
     "SnapshotConfigMismatchError",
     "StreamSession",

@@ -83,15 +83,6 @@ class ServeClient:
         self._sock.sendall(chunk)
         return chunk.count(b"\n")
 
-    def send_raw(self, data: bytes) -> None:
-        """Pipeline pre-encoded wire lines verbatim (router forwarding).
-
-        The router proxies client record lines without re-encoding them
-        — byte identity on the wire is what keeps served results
-        bit-identical to a direct connection.
-        """
-        self._sock.sendall(data)
-
     def command(self, line: str) -> dict:
         """Send one command line, return its (non-async) JSON reply."""
         self._sock.sendall(line.strip().encode("utf-8") + b"\n")
@@ -120,11 +111,11 @@ class ServeClient:
         Retries with exponential backoff — a supervised server takes a
         backoff-and-recovery beat to come back after a crash.
         ``deadline_s`` bounds the *total* time spent (dialing plus all
-        backoff sleeps), not just each attempt: a router failing over a
-        shard needs a hard ceiling on how long a client-visible stall
-        can last. Raises the last connection error once ``retries``
-        attempts or the deadline are exhausted, or :class:`RuntimeError`
-        if the client has no dialer.
+        backoff sleeps), not just each attempt, so a caller gets a hard
+        ceiling on how long a client-visible stall can last. Raises the
+        last connection error once ``retries`` attempts or the deadline
+        are exhausted, or :class:`RuntimeError` if the client has no
+        dialer.
         """
         if self._dial is None:
             raise RuntimeError(
@@ -220,21 +211,9 @@ class ServeClient:
     def flush(self, stream: str = DEFAULT_STREAM) -> dict:
         return self.command(f"FLUSH {stream}")
 
-    def results(
-        self, stream: str = DEFAULT_STREAM, since: int | str = -1
-    ) -> dict:
-        """Committed windows past a cursor.
-
-        ``since`` is a plain solve index, or — against a router — the
-        opaque vector-cursor token (``v@...``) the previous RESULTS
-        reply returned as ``"cursor"``. Pass that token back verbatim to
-        page without losing or duplicating a window across shard
-        failover or migration.
-        """
-        if isinstance(since, str):
-            suffix = f" --since {since}" if since else ""
-        else:
-            suffix = f" --since {since}" if since >= 0 else ""
+    def results(self, stream: str = DEFAULT_STREAM, since: int = -1) -> dict:
+        """Committed windows with a solve index above ``since``."""
+        suffix = f" --since {since}" if since >= 0 else ""
         return self.command(f"RESULTS {stream}{suffix}")
 
     def estimates(self, stream: str = DEFAULT_STREAM) -> dict:

@@ -1,15 +1,12 @@
-"""Listener/connection core shared by the serve tier's asyncio servers.
+"""Listener/connection core of the serve tier's asyncio server.
 
-Both line-protocol servers — the single-process/shard
-:class:`~repro.serve.server.ReconstructionServer` and the sharded
-front-door :class:`~repro.serve.router.RouterServer` — need the same
-plumbing: TCP/unix listeners, one reader coroutine per connection that
-splits lines and parses them (:mod:`repro.serve.protocol`), strict-JSON
-replies that survive unserializable payloads, connection bookkeeping,
-SIGTERM/SIGINT wiring, and an orderly close of listeners → readers →
-background tasks. :class:`LineProtocolServer` owns exactly that
-front-door half; what a *parsed* line means — feed an engine lane, or
-proxy to a shard — is the serving core, supplied by subclasses through
+:class:`LineProtocolServer` owns the front-door plumbing: TCP/unix
+listeners, one reader coroutine per connection that splits lines and
+parses them (:mod:`repro.serve.protocol`), strict-JSON replies that
+survive unserializable payloads, connection bookkeeping, SIGTERM/SIGINT
+wiring, and an orderly close of listeners → readers → background tasks.
+What a *parsed* line means is the serving core
+(:class:`~repro.serve.server.ReconstructionServer`), supplied through
 three hooks:
 
 ``handle_record(conn_id, record, writer)``
@@ -22,11 +19,7 @@ three hooks:
     :meth:`_spawn`).
 
 plus ``_run_core()``, the lifecycle body that decides what wraps the
-listen-drain sequence (metrics registry and report for the shard
-server; shard process supervision for the router). This split is what
-lets a shard run headless on an internal unix socket with a raised
-line limit (``IMPORT`` lines carry whole exported streams) while the
-router reuses the identical reader loop for its public endpoints.
+listen-drain sequence (the metrics registry and the run report).
 """
 
 from __future__ import annotations
@@ -57,11 +50,11 @@ class LineProtocolServer:
         socket_path: serve on this unix-domain socket (optional).
         host/port: serve on TCP (optional; ``port=0`` picks a free port,
             readable afterwards from :attr:`endpoints`).
-        max_line_bytes: readline limit per connection; a longer line is
-            an unrecoverable framing error (the client gets one fatal
-            error line). Shards behind a router raise this so IMPORT
-            lines fit.
         on_ready: called with the server once the listeners are up.
+
+    A line longer than :data:`~repro.serve.protocol.MAX_LINE_BYTES` is
+    an unrecoverable framing error: the client gets one fatal error line
+    and the connection closes.
     """
 
     def __init__(
@@ -70,17 +63,13 @@ class LineProtocolServer:
         socket_path: str | None = None,
         host: str = "127.0.0.1",
         port: int | None = None,
-        max_line_bytes: int = MAX_LINE_BYTES,
         on_ready=None,
     ) -> None:
         if socket_path is None and port is None:
             raise ValueError("need a unix socket path and/or a TCP port")
-        if max_line_bytes < 1024:
-            raise ValueError("max_line_bytes must be >= 1024")
         self.socket_path = socket_path
         self.host = host
         self.port = port
-        self.max_line_bytes = max_line_bytes
         #: called with the server once the listeners are up (CLI banner).
         self.on_ready = on_ready
         #: "unix:<path>" / "tcp:<host>:<port>" actually listening.
@@ -165,7 +154,7 @@ class LineProtocolServer:
             server = await asyncio.start_unix_server(
                 self._handle_connection,
                 path=self.socket_path,
-                limit=self.max_line_bytes,
+                limit=MAX_LINE_BYTES,
             )
             self._servers.append(server)
             self.endpoints.append(f"unix:{self.socket_path}")
@@ -174,7 +163,7 @@ class LineProtocolServer:
                 self._handle_connection,
                 host=self.host,
                 port=self.port,
-                limit=self.max_line_bytes,
+                limit=MAX_LINE_BYTES,
             )
             self._servers.append(server)
             bound = server.sockets[0].getsockname()
@@ -257,7 +246,7 @@ class LineProtocolServer:
             try:
                 line = await reader.readline()
             except ValueError:
-                # Line longer than max_line_bytes: unrecoverable framing.
+                # Line longer than MAX_LINE_BYTES: unrecoverable framing.
                 await self._send(
                     writer, error_response("line too long", fatal=True)
                 )

@@ -116,9 +116,7 @@ class Supervisor:
 
     def stop(self, sig: int = signal.SIGTERM) -> None:
         """Programmatic stop (thread-safe): signal the child and treat
-        its exit as shutdown, not a crash. The router uses this — its
-        shard supervisors run on worker threads, where installing
-        signal handlers is impossible."""
+        its exit as shutdown, not a crash."""
         self._stop_requested = True
         child = self._child
         if child is not None and child.poll() is None:
@@ -126,19 +124,6 @@ class Supervisor:
                 child.send_signal(sig)
             except (ProcessLookupError, OSError):
                 pass
-
-    @property
-    def child_pid(self) -> int | None:
-        """PID of the live child, or ``None`` between incarnations.
-
-        Exposed for fault-injection tests (SIGKILL a shard mid-stream)
-        and operator tooling; the pid may be stale by the time it is
-        used — that is inherent to pids.
-        """
-        child = self._child
-        if child is None or child.poll() is not None:
-            return None
-        return child.pid
 
     def _tee_stderr(self, child: subprocess.Popen) -> threading.Thread:
         def pump() -> None:

@@ -217,10 +217,14 @@ class SharedSolverPool:
     def poll(self, session_id: str, block: bool = False) -> list[WindowResult]:
         """Results for ``session_id`` (its local indices restored).
 
-        ``block=True`` returns only once every window the session has
-        submitted so far is back — the per-stream equivalent of
-        ``WindowExecutor.drain(block=True)``. Whatever this thread
-        drains for *other* sessions is routed to their mailboxes.
+        ``block=False`` repeats dispatch and drain until a round drains
+        nothing, so one poll moves every finished solve (in serial mode,
+        every queued window) past the residency cap instead of at most
+        the cap. ``block=True`` returns only once every window the
+        session has submitted so far is back — the per-stream
+        equivalent of ``WindowExecutor.drain(block=True)``. Whatever
+        this thread drains for *other* sessions is routed to their
+        mailboxes.
         """
         collected: list[WindowResult] = []
         while True:
@@ -232,10 +236,12 @@ class SharedSolverPool:
             with self._lock:
                 lane = self._lanes[session_id]
                 out, lane.mailbox = lane.mailbox, []
-                done = not block or lane.outstanding == 0
+                done = lane.outstanding == 0 if block else not drained
             collected.extend(out)
             if done:
                 return collected
+            if not block:
+                continue
             # Nothing for us yet: either our windows are still solving
             # (wait on the executor) or a concurrent drainer claimed
             # them and will route momentarily (back off briefly).

@@ -26,22 +26,10 @@ Commands::
     STATS                        server and per-session counters
     RESULTS <stream> [--since C] committed windows past the cursor C
     FLUSH <stream>               seal/solve/commit everything buffered
-    EXPORT <stream>              quiesce + hand over the stream's state
-    IMPORT <stream> <b64doc>     adopt a stream exported elsewhere
     QUIT                         close this connection
 
-The router front-door (:mod:`repro.serve.router`) additionally accepts
-``MIGRATE <stream> [shard]`` and ``DRAIN <shard>``; it consumes
-``EXPORT``/``IMPORT`` itself (they are shard-internal).
-
-``--since`` takes either a plain integer (a per-stream ``solve_index``,
-the single-server form) or a **vector cursor** — the opaque
-``v@shard:index,...`` token a router's RESULTS reply returns, recording
-the highest solve index the client has seen *from each shard*. Solve
-indices are stream-global (migration imports a stream's history, so
-they stay monotone across shard moves), which makes
-``max(entries) == resume point``; the vector keeps per-shard provenance
-so no failover or migration interleaving can lose or replay a window.
+``--since`` takes a per-stream ``solve_index``: the reply lists the
+committed windows with a higher index.
 
 Responses are **strict JSON** (no NaN/Infinity tokens), one object per
 line, always carrying ``"ok"``. Estimates are serialized with Python's
@@ -52,7 +40,6 @@ values — the property the RESULTS-vs-batch parity check relies on.
 from __future__ import annotations
 
 import json
-import urllib.parse
 from dataclasses import dataclass
 
 from repro.core.records import ArrivalKey
@@ -64,20 +51,14 @@ __all__ = [
     "COMMANDS",
     "DEFAULT_STREAM",
     "MAX_LINE_BYTES",
-    "MAX_ADMIN_LINE_BYTES",
-    "ROUTER_COMMANDS",
-    "VECTOR_CURSOR_PREFIX",
     "CommandLine",
     "ProtocolError",
     "RecordLine",
     "committed_window_to_json",
-    "cursor_since",
     "encode_record",
     "encode_response",
-    "encode_vector_cursor",
     "error_response",
     "estimate_key",
-    "merge_vector_cursor",
     "parse_estimate_key",
     "parse_line",
     "parse_since",
@@ -85,23 +66,12 @@ __all__ = [
 
 DEFAULT_STREAM = "default"
 
-#: commands a shard/single server understands (anything else errors).
-COMMANDS = ("HEALTH", "STATS", "RESULTS", "FLUSH", "EXPORT", "IMPORT", "QUIT")
-
-#: commands the router front-door understands.
-ROUTER_COMMANDS = (
-    "HEALTH", "STATS", "RESULTS", "FLUSH", "MIGRATE", "DRAIN", "QUIT"
-)
+#: commands the server understands (anything else errors).
+COMMANDS = ("HEALTH", "STATS", "RESULTS", "FLUSH", "QUIT")
 
 #: server-side readline limit. A record line is ~100 bytes; 1 MiB keeps
 #: a hostile/broken client from ballooning the reader buffer.
 MAX_LINE_BYTES = 1 << 20
-
-#: readline limit for shard servers behind a router: an ``IMPORT`` line
-#: carries a whole stream's exported state, which can dwarf any record.
-#: The socket is internal (router-only), so the hostile-client argument
-#: for the 1 MiB cap does not apply.
-MAX_ADMIN_LINE_BYTES = 64 << 20
 
 
 class ProtocolError(ValueError):
@@ -199,76 +169,17 @@ def error_response(message: str, **extra) -> dict:
     return {"ok": False, "error": message, **extra}
 
 
-# ----------------------------------------------------------------------
-# Vector cursors (the router's shard-aware RESULTS --since token)
-# ----------------------------------------------------------------------
+def parse_since(token: str) -> int:
+    """A ``--since`` argument: a solve index.
 
-VECTOR_CURSOR_PREFIX = "v@"
-
-
-def encode_vector_cursor(entries: dict[str, int]) -> str:
-    """``{shard: last_solve_index}`` as the opaque ``--since`` token.
-
-    Shard names are percent-encoded (no safe characters) so commas,
-    colons, or whitespace in a name cannot break the framing; entries
-    are sorted so the token is deterministic.
+    Raises :class:`ProtocolError` naming the token for anything else.
     """
-    return VECTOR_CURSOR_PREFIX + ",".join(
-        f"{urllib.parse.quote(str(shard), safe='')}:{int(index)}"
-        for shard, index in sorted(entries.items())
-    )
-
-
-def parse_since(token: str) -> int | dict[str, int]:
-    """A ``--since`` argument: plain integer or decoded vector cursor.
-
-    Raises :class:`ProtocolError` for anything else.
-    """
-    if token.startswith(VECTOR_CURSOR_PREFIX):
-        entries: dict[str, int] = {}
-        body = token[len(VECTOR_CURSOR_PREFIX):]
-        for part in filter(None, body.split(",")):
-            shard, _, index = part.rpartition(":")
-            try:
-                entries[urllib.parse.unquote(shard)] = int(index)
-            except ValueError:
-                raise ProtocolError(
-                    f"malformed vector cursor entry {part!r}"
-                ) from None
-        return entries
     try:
         return int(token)
     except ValueError:
         raise ProtocolError(
-            f"--since takes an integer or a vector cursor, got {token!r}"
+            f"--since takes an integer, got {token!r}"
         ) from None
-
-
-def cursor_since(since: int | dict[str, int]) -> int:
-    """The effective resume point of a parsed ``--since`` value.
-
-    Solve indices are stream-global and survive migration (the importing
-    shard adopts the stream's full history), so the highest index seen
-    from *any* shard is the correct high-water mark.
-    """
-    if isinstance(since, dict):
-        return max(since.values(), default=-1)
-    return since
-
-
-def merge_vector_cursor(
-    since: int | dict[str, int], shard: str, last_solve_index: int
-) -> dict[str, int]:
-    """Fold a shard's RESULTS page into the client's vector cursor.
-
-    Prior entries for other shards are carried through; the serving
-    shard's entry advances to the page's last solve index (never
-    backwards).
-    """
-    entries = dict(since) if isinstance(since, dict) else {}
-    previous = entries.get(shard, -1)
-    entries[shard] = max(previous, int(last_solve_index), cursor_since(since))
-    return entries
 
 
 # ----------------------------------------------------------------------

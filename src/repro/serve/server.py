@@ -27,11 +27,6 @@ serving core — what a parsed line *means*:
 * **Solves** are multiplexed over one shared
   :class:`~repro.serve.pool.SharedSolverPool` with round-robin fairness
   across streams.
-* **Migration** (``EXPORT``/``IMPORT``, driven by the router in
-  :mod:`repro.serve.router`): EXPORT quiesces a stream behind its queue
-  barrier and hands its full durable state document to the caller,
-  retiring the local session; IMPORT adopts such a document bit-exactly
-  and anchors a fresh WAL with an adoption snapshot.
 * **Shutdown** (SIGTERM/SIGINT or ``request_shutdown``) drains in
   order: stop accepting, close readers, flush the queues through the
   pumps, final-flush every session (sealing and committing every open
@@ -42,9 +37,6 @@ serving core — what a parsed line *means*:
 from __future__ import annotations
 
 import asyncio
-import base64
-import binascii
-import json
 import threading
 
 from repro.core.pipeline import DomoConfig
@@ -53,11 +45,9 @@ from repro.obs.report import RunReport, build_run_report, write_run_report
 from repro.obs.spans import span
 from repro.serve.core import LineProtocolServer
 from repro.serve.protocol import (
-    MAX_LINE_BYTES,
     CommandLine,
     ProtocolError,
     RecordLine,
-    cursor_since,
     error_response,
     parse_since,
 )
@@ -81,10 +71,9 @@ class _StreamLane:
         self.lock = asyncio.Lock()
         self.pump: asyncio.Task | None = None
         self.stopping = False
-        #: set (on the event loop) the moment an eviction flush or an
-        #: EXPORT starts, so records racing the worker-thread drain are
-        #: rejected up front instead of being ingested into a drained
-        #: (or departed) engine.
+        #: set (on the event loop) the moment an eviction flush starts,
+        #: so records racing the worker-thread drain are rejected up
+        #: front instead of being ingested into a drained engine.
         self.draining = False
         #: first ingest failure (e.g. a strict-validation rejection);
         #: once set, the pump discards instead of ingesting and new
@@ -120,9 +109,6 @@ class ReconstructionServer(LineProtocolServer):
             this window to adopt the stream; afterwards records are
             refused (with an error line) rather than racing the drain.
             Shutdown skips the grace entirely.
-        max_line_bytes: per-connection readline limit. A shard behind a
-            router raises this to ``MAX_ADMIN_LINE_BYTES`` so IMPORT
-            lines (a whole exported stream) fit on the internal socket.
     """
 
     def __init__(
@@ -141,13 +127,11 @@ class ReconstructionServer(LineProtocolServer):
         adoption_grace_s: float = 0.25,
         argv: list[str] | None = None,
         on_ready=None,
-        max_line_bytes: int = MAX_LINE_BYTES,
     ) -> None:
         super().__init__(
             socket_path=socket_path,
             host=host,
             port=port,
-            max_line_bytes=max_line_bytes,
             on_ready=on_ready,
         )
         if chunk < 1 or queue_capacity < 1:
@@ -173,7 +157,7 @@ class ReconstructionServer(LineProtocolServer):
         self._lanes: dict[str, _StreamLane] = {}
         # Guards _lanes itself (not lane internals): mutations happen on
         # the event loop, but stats() snapshots the map from arbitrary
-        # threads (a router health poller, tests).
+        # threads (tests, embedding callers).
         self._lanes_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -247,8 +231,8 @@ class ReconstructionServer(LineProtocolServer):
                 ),
             )
             return
-        # ``draining`` covers the gap between the eviction/export
-        # decision (on this loop) and ``drained`` flipping at the end of
+        # ``draining`` covers the gap between the eviction decision
+        # (on this loop) and ``drained`` flipping at the end of
         # the flush on a worker thread — records landing in that gap
         # must be refused, not accepted and then silently lost to a
         # drained engine.
@@ -358,7 +342,7 @@ class ReconstructionServer(LineProtocolServer):
         """Last feeder left: flush once its queued records are ingested."""
         lane = self._lanes.get(session.stream_id)
         if lane is not None and lane.session is not session:
-            lane = None  # stream migrated away and back; not our lane
+            lane = None  # not this session's lane
         if lane is not None:
             await lane.queue.join()
         # Adoption grace: another connection may be about to feed this
@@ -371,12 +355,11 @@ class ReconstructionServer(LineProtocolServer):
                 )
             except asyncio.TimeoutError:
                 pass
-        # A new connection may have adopted the stream while we waited,
-        # or an EXPORT may have retired it.
+        # A new connection may have adopted the stream while we waited.
         if session.num_owners or session.drained:
             return
         if self.manager.get(session.stream_id) is not session:
-            return  # exported (or replaced by an import) while waiting
+            return  # no longer this stream's session
         if lane is not None:
             # No await between the owner re-check and this flag, so no
             # record can slip in between: everything arriving from here
@@ -408,10 +391,6 @@ class ReconstructionServer(LineProtocolServer):
                 return await self._cmd_results(cmd.args)
             if cmd.verb == "FLUSH":
                 return await self._cmd_flush(cmd.args)
-            if cmd.verb == "EXPORT":
-                return await self._cmd_export(cmd.args)
-            if cmd.verb == "IMPORT":
-                return await self._cmd_import(cmd.args)
             if cmd.verb == "QUIT":
                 return {"ok": True, "bye": True}
             return error_response(f"unknown command {cmd.verb!r}")
@@ -430,9 +409,7 @@ class ReconstructionServer(LineProtocolServer):
         while rest:
             flag = rest.pop(0)
             if flag == "--since" and rest:
-                # Accept the router's vector cursor too: a shard serves
-                # from the effective high-water mark (see parse_since).
-                since = cursor_since(parse_since(rest.pop(0)))
+                since = parse_since(rest.pop(0))
             else:
                 raise ProtocolError(f"unknown RESULTS argument {flag!r}")
         session = self.manager.get(stream_id)
@@ -440,6 +417,13 @@ class ReconstructionServer(LineProtocolServer):
             return error_response(
                 f"unknown stream {stream_id!r}", stream=stream_id
             )
+        lane = self._lanes.get(stream_id)
+        if lane is not None and session.engine.backlog:
+            # Commit the solves that finished since the stream's last
+            # record now, not when its next record arrives.
+            async with lane.lock:
+                if not session.drained and session.failed is None:
+                    await asyncio.to_thread(session.collect)
         windows = session.results_since(since)
         return {
             "ok": True,
@@ -499,92 +483,6 @@ class ReconstructionServer(LineProtocolServer):
             "ok": True,
             "stream": stream_id,
             "new_commits": new_commits,
-            "windows_committed": len(session.results),
-            "drained": session.drained,
-        }
-
-    # ------------------------------------------------------------------
-    # Migration (EXPORT / IMPORT — driven by the router)
-    # ------------------------------------------------------------------
-
-    async def _cmd_export(self, args: tuple[str, ...]) -> dict:
-        """Quiesce a stream and hand its durable state to the caller.
-
-        The command line arrives *after* any records the caller
-        pipelined on the same connection, and the queue barrier below
-        covers records from every other connection that were accepted
-        before the export decision — so the exported document reflects
-        every record the server ever acknowledged for this stream. The
-        local session is retired: its solver lane, WAL directory, and
-        session-map entry are gone when the reply is written, and any
-        record that arrives later recreates the stream from scratch
-        (the router prevents that by re-homing the stream first).
-        """
-        if len(args) != 1:
-            raise ProtocolError("EXPORT needs exactly one stream id")
-        stream_id = args[0]
-        if self.manager.get(stream_id) is None:
-            return error_response(
-                f"unknown stream {stream_id!r}", stream=stream_id
-            )
-        lane = self._lanes.get(stream_id)
-        if lane is not None:
-            if lane.failed is not None:
-                return error_response(
-                    f"stream {stream_id!r} failed: {lane.failed}",
-                    stream=stream_id,
-                )
-            # Refuse new records from here on; then the barrier: every
-            # record accepted before this command is ingested before the
-            # engine state is exported.
-            lane.draining = True
-            await lane.queue.join()
-            async with lane.lock:
-                document = await asyncio.to_thread(
-                    self.manager.export_stream, stream_id
-                )
-            # The stream no longer lives here: stop the pump and drop
-            # the lane so a later re-import starts from a clean slate.
-            lane.stopping = True
-            await lane.queue.put(None)
-            with self._lanes_lock:
-                if self._lanes.get(stream_id) is lane:
-                    del self._lanes[stream_id]
-        else:
-            document = await asyncio.to_thread(
-                self.manager.export_stream, stream_id
-            )
-        return {"ok": True, "stream": stream_id, "state": document}
-
-    async def _cmd_import(self, args: tuple[str, ...]) -> dict:
-        """Adopt a stream exported by another shard, bit-exactly."""
-        if len(args) != 2:
-            raise ProtocolError("IMPORT needs a stream id and a base64 document")
-        stream_id, blob = args
-        try:
-            document = json.loads(base64.b64decode(blob, validate=True))
-        except (ValueError, binascii.Error) as exc:
-            raise ProtocolError(
-                f"IMPORT document is not base64-encoded JSON: {exc}"
-            )
-        # A stale lane from a previous tenancy of this stream must not
-        # keep feeding the replaced session.
-        lane = self._lanes.get(stream_id)
-        if lane is not None:
-            lane.draining = True
-            await lane.queue.join()
-            lane.stopping = True
-            await lane.queue.put(None)
-            with self._lanes_lock:
-                if self._lanes.get(stream_id) is lane:
-                    del self._lanes[stream_id]
-        session = await asyncio.to_thread(
-            self.manager.import_stream, stream_id, document
-        )
-        return {
-            "ok": True,
-            "stream": stream_id,
-            "records_durable": session.records_durable,
             "windows_committed": len(session.results),
             "drained": session.drained,
         }

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import threading
 import urllib.parse
 from dataclasses import replace
@@ -138,7 +137,17 @@ class StreamSession:
             with span("session"):
                 self.engine.ingest(packets)
                 committed = self.engine.poll()
+        # Absorb first: once STATS counts a record in, RESULTS holds
+        # every window its batch committed.
+        self._absorb(committed)
         self.records_in += len(packets)
+
+    def collect(self) -> None:
+        """Commit the solves that finished since the last engine call,
+        without waiting for the stream's next record."""
+        with registry_scope(self.registry):
+            with span("session"):
+                committed = self.engine.poll()
         self._absorb(committed)
 
     def flush(self) -> int:
@@ -191,48 +200,6 @@ class StreamSession:
         }
         self._durability.save_snapshot(document)
         return True
-
-    def export_document(self, config_sig: str) -> dict:
-        """Quiesce and capture this stream's full state for migration.
-
-        Unlike :meth:`snapshot` this is a *handoff*, not a checkpoint:
-        the caller is expected to retire this session afterwards and
-        import the document elsewhere. Open windows stay open (quiesce
-        only drains in-flight solves — no seals are forced), so the
-        importing shard commits exactly the windows this one would
-        have. A failed session refuses to export: its state is not
-        trustworthy and migrating it would launder the failure.
-        """
-        if self.failed is not None:
-            raise RuntimeError(
-                f"stream {self.stream_id!r} failed ({self.failed}); "
-                f"refusing to export unreliable state"
-            )
-        if not self.drained:
-            with registry_scope(self.registry):
-                with span("export"):
-                    self.engine.quiesce()
-                    committed = self.engine.poll()
-            self._absorb(committed)
-        return {
-            "schema": SNAPSHOT_SCHEMA,
-            "stream": self.stream_id,
-            "wal_cursor": (
-                self._durability.wal_cursor
-                if self._durability is not None
-                else 0
-            ),
-            "records_durable": self.records_durable,
-            "config_sig": config_sig,
-            "backend": self.backend,
-            "session": {
-                "results": self.results,
-                "records_in": self.records_in,
-                "failed": self.failed,
-                "drained": self.drained,
-            },
-            "engine": self.engine.export_state(),
-        }
 
     def drain(self) -> None:
         """Final flush + release of the solver lane (results kept).
@@ -362,8 +329,6 @@ class SessionManager:
         self._sessions: dict[str, StreamSession] = {}
         self.sessions_rejected = 0
         self.sessions_evicted = 0
-        self.sessions_exported = 0
-        self.sessions_imported = 0
 
     # -- lookup / admission ----------------------------------------------
 
@@ -613,116 +578,6 @@ class SessionManager:
             "failed": session.failed,
         }
 
-    # -- migration (quiesce-export-import) ---------------------------------
-
-    def export_stream(self, stream_id: str) -> dict:
-        """Hand one stream's full state over and retire it here.
-
-        The returned document (same shape as a recovery snapshot) is
-        what :meth:`import_stream` on another shard adopts. After a
-        successful export this manager forgets the stream entirely —
-        lane released, WAL closed and its state directory deleted (the
-        WAL handoff: durability responsibility moves with the stream).
-        """
-        with self._lock:
-            session = self._sessions.get(stream_id)
-        if session is None:
-            raise KeyError(f"unknown stream {stream_id!r}")
-        document = session.export_document(self._sig_for(session.config))
-        self._retire(session)
-        self.sessions_exported += 1
-        return document
-
-    def _retire(self, session: StreamSession) -> None:
-        """Drop an exported session: lane, WAL dir, and the map entry."""
-        if not session.drained:
-            session.drained = True
-            session.engine.close()
-            try:
-                self.pool.release(session.stream_id)
-            except RuntimeError:
-                pass  # lane already swept (e.g. drained concurrently)
-        durability = session._durability
-        if durability is not None:
-            durability.close()
-            shutil.rmtree(durability.stream_dir, ignore_errors=True)
-        with self._lock:
-            self._sessions.pop(session.stream_id, None)
-
-    def import_stream(self, stream_id: str, document: dict) -> StreamSession:
-        """Adopt a stream exported by another shard.
-
-        Rebuilds the engine bit-exactly from the document's state codec,
-        continues ``records_durable`` where the exporter left off, and —
-        with durability — anchors a fresh WAL with an adoption snapshot
-        so a crash right after the import still recovers the stream.
-        Stale state from a previous life of this stream on this shard is
-        superseded (deleted) by the imported document.
-        """
-        if document.get("schema") != SNAPSHOT_SCHEMA:
-            raise RecoveryError(
-                f"import of stream {stream_id!r}: document schema "
-                f"{document.get('schema')!r} != {SNAPSHOT_SCHEMA!r}"
-            )
-        config = self._effective_config(document.get("backend"))
-        config_sig = self._sig_for(config)
-        if document.get("config_sig") != config_sig:
-            raise SnapshotConfigMismatchError(
-                f"import of stream {stream_id!r}: exported under config "
-                f"signature {document.get('config_sig')!r}, this server "
-                f"is running {config_sig!r}"
-            )
-        with self._lock:
-            existing = self._sessions.get(stream_id)
-            if existing is not None and not existing.drained:
-                raise RuntimeError(
-                    f"stream {stream_id!r} is already live here; "
-                    f"refusing to overwrite it with an import"
-                )
-        durability = None
-        if self.durability is not None:
-            state_dir = stream_state_dir(self.durability.wal_dir, stream_id)
-            if state_dir.exists():
-                shutil.rmtree(state_dir)
-            durability = StreamDurability(
-                self.durability, stream_id, config_sig=config_sig
-            )
-            self._write_backend_meta(durability, config.backend)
-        session = StreamSession(
-            stream_id,
-            config,
-            self.lateness_ms,
-            self.pool,
-            durability=durability,
-        )
-        session.engine = StreamingReconstructor.from_state(
-            document["engine"],
-            config,
-            lateness_ms=self.lateness_ms,
-            executor=session._executor,
-        )
-        session.results = list(document["session"]["results"])
-        session.records_in = document["session"]["records_in"]
-        session.failed = document["session"]["failed"]
-        if durability is not None:
-            durability.records_durable = document["records_durable"]
-            anchor = dict(document)
-            anchor["wal_cursor"] = durability.wal_cursor
-            durability.save_snapshot(anchor)
-        if document["session"].get("drained"):
-            session.drained = True
-            session.engine.close()
-            try:
-                self.pool.release(stream_id)
-            except RuntimeError:
-                pass
-            if durability is not None:
-                durability.close()
-        with self._lock:
-            self._sessions[stream_id] = session
-        self.sessions_imported += 1
-        return session
-
     # -- eviction ----------------------------------------------------------
 
     def disconnect(self, connection_id: int) -> list[StreamSession]:
@@ -766,9 +621,9 @@ class SessionManager:
 
     def stats(self) -> dict:
         # One locked snapshot of the session map, then lock-free scalar
-        # reads: stats() must be safe to call from any thread (a router
-        # health poller, tests) while sessions are being admitted,
-        # imported, or exported concurrently.
+        # reads: stats() must be safe to call from any thread (tests,
+        # embedding callers) while sessions are being admitted or
+        # evicted concurrently.
         with self._lock:
             sessions = sorted(self._sessions.items())
             active = self._active_locked()
@@ -781,8 +636,6 @@ class SessionManager:
             "max_sessions": self.max_sessions,
             "sessions_rejected": self.sessions_rejected,
             "sessions_evicted": self.sessions_evicted,
-            "sessions_exported": self.sessions_exported,
-            "sessions_imported": self.sessions_imported,
             "pool": self.pool.stats(),
             "streams": streams,
         }

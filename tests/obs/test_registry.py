@@ -80,6 +80,12 @@ def test_histogram_rejects_bad_edges_and_nan():
     assert registry.snapshot()["histograms"]["t"]["count"] == 0
     with pytest.raises(ValueError):
         registry.histogram("t", COUNT_EDGES)  # conflicting edges
+    # Edges compare by value: ints match the stored floats.
+    floats = registry.histogram("i", (1.0, 2.0, 4.0))
+    assert registry.histogram("i", (1, 2, 4)) is floats
+    assert registry.histogram("i", [1, 2.0, 4]) is floats
+    with pytest.raises(ValueError):
+        registry.histogram("i", (1, 2, 5))
 
 
 def test_histogram_counts_invariant():

@@ -18,16 +18,22 @@ import pytest
 
 from repro.core.pipeline import DomoConfig, DomoReconstructor
 from repro.serve.client import connect
-from repro.serve.server import ReconstructionServer, run_in_thread
+from repro.serve.protocol import MAX_LINE_BYTES
+from repro.serve.server import (
+    ReconstructionServer,
+    ServerHandle,
+    run_in_thread,
+)
 from repro.sim import NetworkConfig, simulate_network
+from repro.stream.engine import StreamingReconstructor
 
 
-def _packets(seed=7):
+def _packets(seed=7, duration_ms=20_000.0):
     trace = simulate_network(
         NetworkConfig(
             num_nodes=16,
             placement="grid",
-            duration_ms=20_000.0,
+            duration_ms=duration_ms,
             packet_period_ms=2_500.0,
             seed=seed,
         )
@@ -108,6 +114,106 @@ def test_results_since_is_incremental(sock_path):
             assert done["last_solve_index"] == full["last_solve_index"]
     finally:
         handle.stop()
+
+
+#: the burst tests send a 40 s trace in one go at this lateness: its
+#: first ingested batch seals more windows than the solver pool keeps
+#: in flight (two, serially).
+BURST_LATENESS_MS = 2_000.0
+
+
+def _burst_reference(packets):
+    """The stream engine's estimates for the burst, fed in one call."""
+    estimates = {}
+    with StreamingReconstructor(
+        DomoConfig(), lateness_ms=BURST_LATENESS_MS
+    ) as engine:
+        engine.ingest(packets)
+        for committed in engine.poll() + engine.flush():
+            estimates.update(committed.estimates)
+    return estimates
+
+
+def _stream_stats(client, stream, records, timeout=30.0):
+    """The stream's STATS entry once ``records`` records are ingested."""
+    deadline = time.monotonic() + timeout
+    while True:
+        entry = client.stats()["streams"].get(stream)
+        if entry is not None and entry["records_in"] >= records:
+            return entry
+        assert time.monotonic() < deadline, entry
+        time.sleep(0.02)
+
+
+def test_results_lists_every_sealed_window_without_a_next_record(sock_path):
+    packets = _packets(duration_ms=40_000.0)
+    handle = _serve(sock_path, lateness_ms=BURST_LATENESS_MS)
+    try:
+        with connect(socket_path=sock_path) as client:
+            client.send_packets(packets, stream="s")
+            _stream_stats(client, "s", len(packets))
+            listed = client.results("s")["count"]
+            entry = client.stats()["streams"]["s"]
+            assert entry["backlog"] == 0, entry
+            assert listed == entry["windows_committed"] > 2
+            assert client.flush("s")["ok"]
+            served = client.estimates("s")
+    finally:
+        handle.stop()
+    assert served == _burst_reference(packets)
+
+
+def test_results_reads_commit_parallel_solves_without_a_next_record(
+    sock_path,
+):
+    packets = _packets(duration_ms=40_000.0)
+    handle = run_in_thread(
+        ReconstructionServer(
+            DomoConfig(parallel=True, max_workers=2),
+            socket_path=sock_path,
+            lateness_ms=BURST_LATENESS_MS,
+        )
+    )
+    try:
+        with connect(socket_path=sock_path) as client:
+            client.send_packets(packets, stream="s")
+            entry = _stream_stats(client, "s", len(packets))
+            deadline = time.monotonic() + 30.0
+            while entry["backlog"]:
+                assert time.monotonic() < deadline, entry
+                time.sleep(0.01)
+                client.results("s")
+                entry = client.stats()["streams"]["s"]
+            assert client.results("s")["count"] == entry["windows_committed"]
+            assert client.flush("s")["ok"]
+            served = client.estimates("s")
+    finally:
+        handle.stop()
+    assert served == _burst_reference(packets)
+
+
+def test_overlong_line_closes_only_its_own_connection(sock_path):
+    packets = _packets()
+    handle = _serve(sock_path)
+    try:
+        with connect(socket_path=sock_path) as feeder:
+            feeder.send_packets(packets[:20], stream="s")
+            with connect(socket_path=sock_path) as hostile:
+                hostile._sock.sendall(b"x" * (MAX_LINE_BYTES + 1) + b"\n")
+                reply = json.loads(hostile._rfile.readline())
+                assert reply == {
+                    "ok": False, "error": "line too long", "fatal": True
+                }
+                assert hostile._rfile.readline() == b""  # closed
+            feeder.send_packets(packets[20:], stream="s")
+            assert feeder.flush("s")["ok"]
+            with connect(socket_path=sock_path) as query:
+                served = query.estimates("s")
+            assert not feeder.async_errors
+    finally:
+        handle.stop()
+    batch = DomoReconstructor(DomoConfig()).estimate(packets)
+    assert served == batch.estimates
 
 
 def test_unknown_stream_and_bad_commands_get_error_lines(sock_path):
@@ -507,3 +613,70 @@ def test_shutdown_settles_eviction_of_a_connection_closing_meanwhile(
         ([p.packet_id.source, p.packet_id.seqno], p.generation_time_ms)
         for p in packets
     )
+
+
+def test_server_stats_is_safe_under_concurrent_ingest(tmp_path):
+    """Satellite: ``ReconstructionServer.stats()`` (used by STATS and
+    the shutdown report) must tolerate sessions appearing/evicting on
+    other threads — hammer it during a live multi-stream feed."""
+    sock = str(tmp_path / "domo.sock")
+    server = ReconstructionServer(DomoConfig(), socket_path=sock)
+    handle = ServerHandle(server).start()
+    packets = _packets()[:80]
+    stop = threading.Event()
+    errors = []
+
+    def hammer():
+        while not stop.is_set():
+            try:
+                snapshot = server.stats()
+                json.dumps(snapshot)  # fully materialized + serializable
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+                return
+
+    thread = threading.Thread(target=hammer)
+    thread.start()
+    try:
+        with connect(socket_path=sock) as client:
+            for i in range(8):
+                client.send_packets(packets, stream=f"h-{i}")
+                assert client.flush(f"h-{i}")["ok"]
+    finally:
+        stop.set()
+        thread.join()
+        handle.stop()
+    assert not errors, errors
+
+
+def test_client_close_is_idempotent(tmp_path):
+    sock = str(tmp_path / "domo.sock")
+    handle = run_in_thread(
+        ReconstructionServer(DomoConfig(), socket_path=sock)
+    )
+    try:
+        client = connect(socket_path=sock)
+        assert client.health()["ok"]
+        client.close()
+        assert client.closed
+        client.close()  # second close: no-op, no raise
+        assert client.closed
+    finally:
+        handle.stop()
+
+
+def test_client_reconnect_deadline_bounds_total_retry_time(tmp_path):
+    sock = str(tmp_path / "domo.sock")
+    handle = run_in_thread(
+        ReconstructionServer(DomoConfig(), socket_path=sock)
+    )
+    client = connect(socket_path=sock)
+    assert client.health()["ok"]
+    handle.stop()  # server gone; the socket path is unlinked
+    start = time.monotonic()
+    with pytest.raises((TimeoutError, ConnectionError, OSError)):
+        # Without the deadline, 50 retries at 0.2 s backoff would block
+        # for >= 10 s; the deadline caps the whole attempt.
+        client.reconnect(retries=50, backoff_s=0.2, deadline_s=0.8)
+    assert time.monotonic() - start < 5.0
+    client.close()

@@ -366,7 +366,7 @@ ENGINE_FLAGS = [
     "--fsync", "always", "--snapshot-interval", "5",
     "--adoption-grace-ms", "12.5", "--backend", "mnt",
 ]
-#: what a supervised child and every route shard inherit from the parent.
+#: what a supervised child inherits from the parent.
 FORWARDED = (
     "max_sessions", "workers", "lateness_ms", "chunk", "queue_capacity",
     "validate", "fsync", "snapshot_interval", "adoption_grace_ms",
@@ -389,38 +389,10 @@ def test_supervised_child_argv_forwards_every_serve_flag(tmp_path, flags):
     args = build_parser().parse_args(
         ["serve", "--supervise", "--socket", str(tmp_path / "s.sock"),
          "--wal-dir", str(tmp_path / "wal"), "--metrics-out", "r.json",
-         "--max-line-bytes", "4096", *flags]
+         *flags]
     )
     child = _reparse_serve(_serve_child_argv(args, port=4321))
-    for name in FORWARDED + (
-        "socket", "host", "wal_dir", "metrics_out", "max_line_bytes"
-    ):
+    for name in FORWARDED + ("socket", "host", "wal_dir", "metrics_out"):
         assert getattr(child, name) == getattr(args, name), name
     assert child.port == 4321
     assert not child.supervise
-
-
-def test_route_shard_argv_forwards_every_engine_flag(tmp_path, monkeypatch):
-    captured = []
-
-    class Captured(Exception):
-        pass
-
-    def capture(specs, **kwargs):
-        captured.extend(specs)
-        raise Captured
-
-    monkeypatch.setattr("repro.serve.router.RouterServer", capture)
-    argv = ["route", "--shards", "2", "--state-dir", str(tmp_path),
-            "--socket", str(tmp_path / "r.sock"), *ENGINE_FLAGS]
-    args = build_parser().parse_args(argv)
-    with pytest.raises(Captured):
-        main(argv)
-    assert [spec.name for spec in captured] == ["shard-0", "shard-1"]
-    for spec in captured:
-        shard = _reparse_serve(spec.argv)
-        for name in FORWARDED:
-            assert getattr(shard, name) == getattr(args, name), name
-        assert shard.socket == spec.socket_path
-        assert shard.wal_dir == str(tmp_path / spec.name / "wal")
-        assert shard.metrics_out == spec.metrics_path
