@@ -3,8 +3,8 @@
 Layering (each module only imports downward)::
 
     supervisor parent process: restart-on-crash, backoff, breaker
-    server     the serving core: per-stream pumps, eviction, commands,
-               drain-on-SIGTERM
+    server     the serving core: one engine thread per stream, eviction,
+               commands, drain-on-SIGTERM
     core       listener/connection front door (readers, strict-JSON
                replies, signal wiring)
     session    per-stream engine + registry + result log; admission,

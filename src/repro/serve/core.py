@@ -5,13 +5,24 @@ listeners, one reader coroutine per connection that splits lines and
 parses them (:mod:`repro.serve.protocol`), strict-JSON replies that
 survive unserializable payloads, connection bookkeeping, SIGTERM/SIGINT
 wiring, and an orderly close of listeners → readers → background tasks.
+
+Each wakeup of a reader does one socket read, parses every complete
+line it holds under one ``parse`` span (a partial last line waits for
+the next read), and answers with one write: replies and async error
+lines collect in arrival order and go out together.
+
 What a *parsed* line means is the serving core
 (:class:`~repro.serve.server.ReconstructionServer`), supplied through
-three hooks:
+four hooks:
 
-``handle_record(conn_id, record, writer)``
-    one accepted data record (may await — this is the backpressure
-    point: blocking here parks the connection's reader).
+``handle_record(conn_id, record)``
+    one data record; returns its async error line (a dict) or ``None``
+    and never writes. It may await only under backpressure, which
+    parks the connection's reader.
+``record_must_wait(record)``
+    whether ``handle_record`` would park on this record; the reader
+    then writes its pending replies first, so none waits behind a full
+    stream.
 ``handle_command(cmd)``
     one command line; returns the JSON-able reply dict.
 ``on_disconnect(conn_id)``
@@ -82,7 +93,6 @@ class LineProtocolServer:
         self._connections_total = 0
         self._records_accepted = 0
         self._records_rejected = 0
-        self._records_dropped = 0
         self._shutdown: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._ready = threading.Event()
@@ -97,9 +107,13 @@ class LineProtocolServer:
         raise NotImplementedError
 
     async def handle_record(
-        self, conn_id: int, record: RecordLine, writer
-    ) -> None:
+        self, conn_id: int, record: RecordLine
+    ) -> dict | None:
         raise NotImplementedError
+
+    def record_must_wait(self, record: RecordLine) -> bool:
+        """Whether :meth:`handle_record` would park on ``record``."""
+        return False
 
     async def handle_command(self, cmd: CommandLine) -> dict:
         raise NotImplementedError
@@ -223,55 +237,89 @@ class LineProtocolServer:
             if task is not None:
                 self._conn_tasks.discard(task)
 
-    async def _send(self, writer, payload: dict) -> None:
-        """Encode and write one response line, surviving bad payloads.
+    async def _send(self, writer, payloads: list[dict]) -> None:
+        """Encode response lines and write them at once, surviving bad
+        payloads.
 
         Strict JSON (``allow_nan=False``) refuses non-finite floats; if
         a response ever contains one, the client must get an error line
         naming the problem, not a silently closed socket.
         """
-        try:
-            data = encode_response(payload)
-        except ValueError as exc:
-            data = encode_response(
-                error_response(
-                    f"response not serializable as strict JSON: {exc}"
+        lines = []
+        for payload in payloads:
+            try:
+                lines.append(encode_response(payload))
+            except ValueError as exc:
+                lines.append(
+                    encode_response(
+                        error_response(
+                            f"response not serializable as strict JSON: "
+                            f"{exc}"
+                        )
+                    )
                 )
-            )
-        writer.write(data)
+        writer.write(b"".join(lines))
         await writer.drain()
 
-    async def _serve_connection(self, conn_id: int, reader, writer) -> None:
-        while True:
-            try:
-                line = await reader.readline()
-            except ValueError:
-                # Line longer than MAX_LINE_BYTES: unrecoverable framing.
-                await self._send(
-                    writer, error_response("line too long", fatal=True)
-                )
-                return
-            if not line:
-                return  # EOF
-            try:
-                with span("parse"):
+    def _parse_lines(self, lines: list[bytes], conn_id: int) -> list:
+        """Records, commands and async error lines (for lines that do
+        not parse), in arrival order; blank lines drop out."""
+        items = []
+        if not lines:
+            return items
+        with span("parse"):
+            for line in lines:
+                try:
                     parsed = parse_line(
                         line.decode("utf-8", errors="replace"), conn_id
                     )
-            except ProtocolError as exc:
-                self._records_rejected += 1
-                await self._send(
-                    writer, error_response(str(exc), **{"async": True})
-                )
-                continue
-            if parsed is None:
-                continue
-            if isinstance(parsed, RecordLine):
-                await self.handle_record(conn_id, parsed, writer)
-                continue
-            response = await self.handle_command(parsed)
-            await self._send(writer, response)
-            if parsed.verb == "QUIT":
+                except ProtocolError as exc:
+                    self._records_rejected += 1
+                    parsed = error_response(str(exc), **{"async": True})
+                if parsed is not None:
+                    items.append(parsed)
+        return items
+
+    async def _serve_connection(self, conn_id: int, reader, writer) -> None:
+        tail = b""
+        while True:
+            data = await reader.read(MAX_LINE_BYTES)
+            if data:
+                lines = (tail + data).split(b"\n")
+                tail = lines.pop()
+            else:
+                # EOF: an unterminated last line is still a line.
+                lines = [tail] if tail else []
+            # A line longer than MAX_LINE_BYTES, or a tail already past
+            # it, is unrecoverable framing: answer the lines before it,
+            # then close.
+            too_long = len(tail) > MAX_LINE_BYTES
+            for index, line in enumerate(lines):
+                if len(line) > MAX_LINE_BYTES:
+                    del lines[index:]
+                    too_long = True
+                    break
+            replies: list[dict] = []
+            for item in self._parse_lines(lines, conn_id):
+                if isinstance(item, RecordLine):
+                    if replies and self.record_must_wait(item):
+                        await self._send(writer, replies)
+                        replies = []
+                    error = await self.handle_record(conn_id, item)
+                    if error is not None:
+                        replies.append(error)
+                elif isinstance(item, CommandLine):
+                    replies.append(await self.handle_command(item))
+                    if item.verb == "QUIT":
+                        await self._send(writer, replies)
+                        return
+                else:
+                    replies.append(item)
+            if too_long:
+                replies.append(error_response("line too long", fatal=True))
+            if replies:
+                await self._send(writer, replies)
+            if too_long or not data:
                 return
 
     # ------------------------------------------------------------------
@@ -285,5 +333,4 @@ class LineProtocolServer:
             "connections_open": len(self._conn_tasks),
             "records_accepted": self._records_accepted,
             "records_rejected": self._records_rejected,
-            "records_dropped": self._records_dropped,
         }

@@ -28,7 +28,7 @@ book those solves against its stream. The server merges the pool
 registry into the run report at shutdown.
 
 Everything here is plain threads + locks (no asyncio): the server calls
-into the pool from ``asyncio.to_thread`` workers, and tests can drive it
+into the pool from its per-stream lane threads, and tests can drive it
 directly.
 """
 

@@ -69,8 +69,8 @@ DEFAULT_STREAM = "default"
 #: commands the server understands (anything else errors).
 COMMANDS = ("HEALTH", "STATS", "RESULTS", "FLUSH", "QUIT")
 
-#: server-side readline limit. A record line is ~100 bytes; 1 MiB keeps
-#: a hostile/broken client from ballooning the reader buffer.
+#: longest line the server accepts. A record line is ~100 bytes; 1 MiB
+#: keeps a hostile/broken client from ballooning the reader buffer.
 MAX_LINE_BYTES = 1 << 20
 
 
@@ -158,11 +158,13 @@ def encode_record(
     return (json.dumps(item, separators=(",", ":")) + "\n").encode("utf-8")
 
 
+#: the reply encoder: compact, strict (refuses NaN and infinities).
+_RESPONSE_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
 def encode_response(payload: dict) -> bytes:
     """One response object as a strict-JSON wire line."""
-    return (
-        json.dumps(payload, separators=(",", ":"), allow_nan=False) + "\n"
-    ).encode("utf-8")
+    return (_RESPONSE_ENCODER.encode(payload) + "\n").encode("utf-8")
 
 
 def error_response(message: str, **extra) -> dict:

@@ -2,41 +2,48 @@
 
 Architecture (one box per concurrency domain)::
 
-    TCP / unix listeners          asyncio event loop        worker threads
-    ─────────────────────         ──────────────────        ──────────────
-    conn reader ──parse──▶ per-stream asyncio.Queue ──▶ pump ──▶ session.ingest
-    conn reader ──parse──▶        (bounded)           ──▶ pump ──▶ session.ingest
-         │                                                     │
-         └── commands ◀── strict-JSON replies                  └─▶ SharedSolverPool
+    TCP / unix listeners      asyncio event loop          one thread per stream
+    ────────────────────      ──────────────────          ─────────────────────
+    conn reader ──parse──▶ lane inbox (bounded count) ──▶ domo-lane-a: session.ingest
+    conn reader ──parse──▶ lane inbox (bounded count) ──▶ domo-lane-b: session.ingest
+         │                                                        │
+         └── commands ◀── strict-JSON replies                     └─▶ SharedSolverPool
 
 The listener/connection half (readers, line parsing, strict-JSON
 replies, signal wiring, orderly close) lives in
 :class:`~repro.serve.core.LineProtocolServer`; this module is the
 serving core — what a parsed line *means*:
 
-* **Readers** (one coroutine per connection) enqueue records onto their
-  stream's bounded queue. A full queue blocks the ``put``, which stops
-  the reader, which stops reading the socket, which fills the kernel
+* **Readers** (one coroutine per connection) put records into their
+  stream's lane and do not wait for the ingest. A lane counts the
+  records put and not yet ingested; at ``queue_capacity`` the reader
+  parks, which stops it reading the socket, which fills the kernel
   buffers, which blocks the client's ``send`` — backpressure is the
   transport's own flow control, so an overloaded server slows producers
   down instead of buffering without bound or dropping accepted records.
-* **Pumps** (one per stream) batch records off the queue and run
-  ``session.ingest`` in a worker thread (``asyncio.to_thread``) under
-  the stream's asyncio lock, so the event loop never blocks on a solve
-  and each engine only ever sees one call at a time.
+* **Lanes** (one engine thread per stream, ``domo-lane-<stream>``) take
+  records off the lane's inbox in order and hand at most ``chunk`` of
+  them to each ``session.ingest`` call, so the event loop never blocks
+  on a solve and each engine only ever sees one call at a time.
+  ``FLUSH``, ``RESULTS``' commit of a backlog and the eviction flush
+  are calls queued on the same inbox: everything sent before them is
+  ingested first, and the loop awaits their results.
 * **Solves** are multiplexed over one shared
   :class:`~repro.serve.pool.SharedSolverPool` with round-robin fairness
   across streams.
 * **Shutdown** (SIGTERM/SIGINT or ``request_shutdown``) drains in
-  order: stop accepting, close readers, flush the queues through the
-  pumps, final-flush every session (sealing and committing every open
-  window), close the pool, then write the ``domo.run_report/1`` with
-  every session's and the pool's metrics merged in.
+  order: stop accepting, close readers and settle their evictions, let
+  every lane ingest what it holds and join its thread, final-flush every
+  session (sealing and committing every open window), close the pool,
+  then write the ``domo.run_report/1`` with every session's and the
+  pool's metrics merged in.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
+import queue
 import threading
 
 from repro.core.pipeline import DomoConfig
@@ -62,23 +69,151 @@ from repro.serve.session import (
 __all__ = ["ReconstructionServer", "ServerHandle", "run_in_thread"]
 
 
-class _StreamLane:
-    """Event-loop-side plumbing of one stream: queue, pump, engine lock."""
+class _Call:
+    """A function a lane's thread runs after every item queued before it."""
 
-    def __init__(self, session: StreamSession, capacity: int) -> None:
+    __slots__ = ("fn", "args", "future")
+
+    def __init__(self, fn, args) -> None:
+        self.fn = fn
+        self.args = args
+        self.future = concurrent.futures.Future()
+
+    def run(self) -> None:
+        if not self.future.set_running_or_notify_cancel():
+            return
+        try:
+            result = self.fn(*self.args)
+        except Exception as exc:  # noqa: BLE001 - the awaiter raises it
+            self.future.set_exception(exc)
+        else:
+            self.future.set_result(result)
+
+
+class _StreamLane:
+    """One stream's engine thread, fed in order through its inbox.
+
+    The event loop puts records, :class:`_Call` items and, last, a
+    ``None`` that ends the thread; only the lane's thread touches the
+    session's engine.
+    """
+
+    def __init__(
+        self, session: StreamSession, capacity: int, chunk: int
+    ) -> None:
         self.session = session
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=capacity)
-        self.lock = asyncio.Lock()
-        self.pump: asyncio.Task | None = None
-        self.stopping = False
-        #: set (on the event loop) the moment an eviction flush starts,
-        #: so records racing the worker-thread drain are rejected up
-        #: front instead of being ingested into a drained engine.
-        self.draining = False
+        self.capacity = capacity
+        self.chunk = chunk
+        self.inbox: queue.SimpleQueue = queue.SimpleQueue()
+        self._loop = asyncio.get_running_loop()
+        self._lock = threading.Lock()
+        #: records put and not yet ingested (STATS ``queue_depth``).
+        self.pending = 0
+        #: a reader is parked on :attr:`_room` (guarded by :attr:`_lock`).
+        self._waiting = False
+        self._room = asyncio.Event()
+        #: the queued eviction flush, once the last feeder left; from
+        #: then on records are refused and nothing else is queued, since
+        #: the thread exits after it.
+        self.eviction: asyncio.Future | None = None
         #: first ingest failure (e.g. a strict-validation rejection);
-        #: once set, the pump discards instead of ingesting and new
-        #: records are refused with an error naming this reason.
+        #: once set, queued records are dropped and new ones refused
+        #: with an error naming this reason.
         self.failed: str | None = None
+        #: records dropped behind a failure.
+        self.dropped = 0
+        self.thread = threading.Thread(
+            target=self._run,
+            name=f"domo-lane-{session.stream_id}",
+            daemon=True,
+        )
+        self.thread.start()
+
+    # -- event-loop side --------------------------------------------------
+
+    @property
+    def full(self) -> bool:
+        return self.pending >= self.capacity
+
+    async def put(self, packet) -> None:
+        """Queue one record, parking while the lane is full."""
+        while True:
+            with self._lock:
+                if self.pending < self.capacity:
+                    self.pending += 1
+                    break
+                self._waiting = True
+                self._room.clear()
+            await self._room.wait()
+        self.inbox.put(packet)
+
+    def call(self, fn, *args) -> asyncio.Future:
+        """Run ``fn(*args)`` on the lane's thread after everything queued
+        so far."""
+        item = _Call(fn, args)
+        self.inbox.put(item)
+        return asyncio.wrap_future(item.future, loop=self._loop)
+
+    def stop(self) -> None:
+        """Let the thread exit once it has run what is queued."""
+        self.inbox.put(None)
+
+    # -- the lane's thread ------------------------------------------------
+
+    def _run(self) -> None:
+        batch: list = []
+        while True:
+            try:
+                # Block only with nothing in hand: a batch in hand is
+                # ingested as soon as the inbox holds nothing more.
+                item = self.inbox.get(block=not batch)
+            except queue.Empty:
+                self._ingest(batch)
+                batch = []
+                continue
+            if item is not None and not isinstance(item, _Call):
+                batch.append(item)
+                if len(batch) == self.chunk:
+                    self._ingest(batch)
+                    batch = []
+                continue
+            if batch:
+                self._ingest(batch)
+                batch = []
+            if item is None:
+                return
+            item.run()
+
+    def _fail(self, exc: Exception) -> None:
+        # Fail closed: the stream stops, the lane keeps taking items, so
+        # backpressure, eviction and shutdown go on.
+        self.failed = f"{type(exc).__name__}: {exc}"
+        self.session.mark_failed(self.failed)
+
+    def _ingest(self, batch: list) -> None:
+        if self.failed is None:
+            try:
+                self.session.ingest(batch)
+            except Exception as exc:  # noqa: BLE001 - any engine error
+                self._fail(exc)
+                self.dropped += len(batch)
+        else:
+            self.dropped += len(batch)
+        with self._lock:
+            self.pending -= len(batch)
+            if not self._waiting:
+                return
+            self._waiting = False
+        self._loop.call_soon_threadsafe(self._room.set)
+
+    def collect(self) -> None:
+        """Commit the stream's finished solves (on the lane's thread)."""
+        if self.session.failed is None:
+            try:
+                self.session.collect()
+            except Exception as exc:  # noqa: BLE001 - any engine error
+                self._fail(exc)
+                raise
 
 
 class ReconstructionServer(LineProtocolServer):
@@ -95,8 +230,8 @@ class ReconstructionServer(LineProtocolServer):
             which makes served results bit-identical to the batch
             pipeline regardless of how clients shard or interleave.
         chunk: max records per engine ingest call.
-        queue_capacity: bound of each stream's ingest queue — the
-            backpressure high-watermark.
+        queue_capacity: most records a stream holds put and not yet
+            ingested — the backpressure high-watermark.
         metrics_out: write the shutdown RunReport here.
         durability: WAL + snapshot configuration; when set, every
             stream's ingest is write-ahead-logged and :meth:`run`
@@ -155,9 +290,9 @@ class ReconstructionServer(LineProtocolServer):
         self.report: RunReport | None = None
 
         self._lanes: dict[str, _StreamLane] = {}
-        # Guards _lanes itself (not lane internals): mutations happen on
-        # the event loop, but stats() snapshots the map from arbitrary
-        # threads (tests, embedding callers).
+        # Guards _lanes itself (not lane internals): entries are only
+        # added, on the event loop, but stats() snapshots the map from
+        # arbitrary threads (tests, embedding callers).
         self._lanes_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -192,20 +327,23 @@ class ReconstructionServer(LineProtocolServer):
 
     async def _drain(self) -> None:
         """The graceful-shutdown sequence (see module docstring)."""
-        # Disconnect-triggered evictions need the pumps alive (they wait
-        # on queue.join()), so _close_connections settles them before we
-        # stop the pumps.
+        # Evictions started by disconnects run on their lanes, so
+        # _close_connections settles them before the lanes stop.
         await self._close_connections()
         with self._lanes_lock:
             lanes = list(self._lanes.values())
         for lane in lanes:
-            await lane.queue.put(None)
-        pumps = [lane.pump for lane in lanes if lane.pump]
-        if pumps:
-            await asyncio.gather(*pumps, return_exceptions=True)
-        # Everything queued is ingested; seal/solve/commit every open
-        # window and shut the solver pool down.
-        await asyncio.to_thread(self.manager.close)
+            lane.stop()
+
+        def finish() -> None:
+            # Every lane has ingested what it held once its thread is
+            # gone; then seal/solve/commit every open window and shut
+            # the solver pool down.
+            for lane in lanes:
+                lane.thread.join()
+            self.manager.close()
+
+        await asyncio.to_thread(finish)
 
     def on_disconnect(self, conn_id: int) -> None:
         for session in self.manager.disconnect(conn_id):
@@ -216,57 +354,44 @@ class ReconstructionServer(LineProtocolServer):
     # ------------------------------------------------------------------
 
     async def handle_record(
-        self, conn_id: int, record: RecordLine, writer
-    ) -> None:
+        self, conn_id: int, record: RecordLine
+    ) -> dict | None:
+        stream = record.stream
         try:
-            lane = self._lane(record.stream, backend=record.backend)
+            lane = self._lane(stream, backend=record.backend)
         except (SessionLimitError, ValueError) as exc:
             # ValueError covers an unknown backend name and a
             # BackendMismatchError (a live stream asked to switch).
-            self._records_rejected += 1
-            await self._send(
-                writer,
-                error_response(
-                    str(exc), stream=record.stream, **{"async": True}
-                ),
-            )
-            return
-        # ``draining`` covers the gap between the eviction decision
-        # (on this loop) and ``drained`` flipping at the end of
-        # the flush on a worker thread — records landing in that gap
-        # must be refused, not accepted and then silently lost to a
-        # drained engine.
-        if lane.draining or lane.session.drained:
-            self._records_rejected += 1
-            await self._send(
-                writer,
-                error_response(
-                    f"stream {record.stream!r} is drained",
-                    stream=record.stream,
-                    **{"async": True},
-                ),
-            )
-            return
+            return self._refuse(stream, str(exc))
+        # ``eviction`` is set when the eviction flush is queued, and
+        # ``drained`` only at its end: records landing in between must
+        # be refused, not accepted and then silently lost.
+        if lane is None or lane.eviction is not None:
+            return self._refuse(stream, f"stream {stream!r} is drained")
         if lane.failed is not None:
-            self._records_rejected += 1
-            await self._send(
-                writer,
-                error_response(
-                    f"stream {record.stream!r} failed: {lane.failed}",
-                    stream=record.stream,
-                    **{"async": True},
-                ),
+            return self._refuse(
+                stream, f"stream {stream!r} failed: {lane.failed}"
             )
-            return
         lane.session.add_owner(conn_id)
-        # The backpressure point: a full queue parks this reader (and
-        # thereby the client's sends) until the pump catches up.
-        await lane.queue.put(record.packet)
+        # The backpressure point: a full lane parks this reader (and
+        # thereby the client's sends) until its thread catches up.
+        await lane.put(record.packet)
         self._records_accepted += 1
+        return None
+
+    def record_must_wait(self, record: RecordLine) -> bool:
+        lane = self._lanes.get(record.stream)
+        return lane is not None and lane.full
+
+    def _refuse(self, stream: str, message: str) -> dict:
+        self._records_rejected += 1
+        return error_response(message, stream=stream, **{"async": True})
 
     def _lane(
         self, stream_id: str, backend: str | None = None
-    ) -> _StreamLane:
+    ) -> _StreamLane | None:
+        """The stream's lane, opened (session and thread) on first use;
+        None for a stream that is already drained and has none."""
         lane = self._lanes.get(stream_id)
         if lane is not None:
             if backend is not None and backend != lane.session.backend:
@@ -276,75 +401,19 @@ class ReconstructionServer(LineProtocolServer):
                 )
             return lane
         session = self.manager.get_or_create(stream_id, backend=backend)
-        lane = _StreamLane(session, self.queue_capacity)
-        # Pumps live outside _bg_tasks: _drain settles the short-
-        # lived background work (evictions) *before* stopping the
-        # pumps, because evictions wait on queues only pumps empty.
-        lane.pump = asyncio.get_running_loop().create_task(
-            self._pump(lane)
-        )
+        if session.drained:
+            return None  # recovered as drained: nothing to ingest into
+        lane = _StreamLane(session, self.queue_capacity, self.chunk)
         with self._lanes_lock:
             self._lanes[stream_id] = lane
         return lane
 
-    # ------------------------------------------------------------------
-    # Pumps and eviction
-    # ------------------------------------------------------------------
-
-    async def _pump(self, lane: _StreamLane) -> None:
-        """Batch records off the stream queue into the engine.
-
-        An ingest that raises (e.g. a strict-validation rejection) must
-        not kill the pump: the lane is marked failed and the pump keeps
-        draining — discarding — so ``queue.join()``, eviction, and the
-        shutdown drain still complete instead of wedging behind a full
-        queue nobody consumes.
-        """
-        while not lane.stopping:
-            item = await lane.queue.get()
-            if item is None:
-                lane.queue.task_done()
-                return
-            if lane.failed is not None:
-                self._records_dropped += 1
-                lane.queue.task_done()
-                continue
-            batch = [item]
-            while len(batch) < self.chunk:
-                try:
-                    extra = lane.queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if extra is None:
-                    lane.stopping = True
-                    lane.queue.task_done()
-                    break
-                batch.append(extra)
-            try:
-                async with lane.lock:
-                    # Re-check under the lock: an eviction flush may
-                    # have drained the engine while this batch waited.
-                    if lane.session.drained:
-                        self._records_dropped += len(batch)
-                    else:
-                        await asyncio.to_thread(lane.session.ingest, batch)
-            except Exception as exc:  # noqa: BLE001 - any engine error
-                lane.failed = f"{type(exc).__name__}: {exc}"
-                lane.session.mark_failed(lane.failed)
-                self._records_dropped += len(batch)
-            finally:
-                # task_done only after ingest: queue.join() == "every
-                # record queued so far has reached the engine".
-                for _ in batch:
-                    lane.queue.task_done()
-
     async def _evict_when_drained(self, session: StreamSession) -> None:
-        """Last feeder left: flush once its queued records are ingested."""
-        lane = self._lanes.get(session.stream_id)
-        if lane is not None and lane.session is not session:
-            lane = None  # not this session's lane
-        if lane is not None:
-            await lane.queue.join()
+        """Last feeder left: flush the stream behind its queued records.
+
+        The eviction flush is the lane's last call; its thread exits
+        after it.
+        """
         # Adoption grace: another connection may be about to feed this
         # stream (its first record merely lost a scheduling race to the
         # disconnect that orphaned it). Shutdown cuts the grace short.
@@ -355,22 +424,17 @@ class ReconstructionServer(LineProtocolServer):
                 )
             except asyncio.TimeoutError:
                 pass
-        # A new connection may have adopted the stream while we waited.
-        if session.num_owners or session.drained:
+        # Owners are only added in handle_record, after the lane exists.
+        lane = self._lanes[session.stream_id]
+        # A new connection may have adopted the stream while we waited,
+        # and it may have left again, starting a second eviction.
+        if session.num_owners or lane.eviction is not None:
             return
-        if self.manager.get(session.stream_id) is not session:
-            return  # no longer this stream's session
-        if lane is not None:
-            # No await between the owner re-check and this flag, so no
-            # record can slip in between: everything arriving from here
-            # on is refused in handle_record instead of racing the
-            # worker-thread flush below (which only sets ``drained`` at
-            # the very end).
-            lane.draining = True
-            async with lane.lock:
-                await asyncio.to_thread(self.manager.evict, session)
-        else:
-            await asyncio.to_thread(self.manager.evict, session)
+        # No await between the owner re-check and this: every record
+        # arriving from here on is refused in handle_record.
+        lane.eviction = lane.call(self.manager.evict, session)
+        lane.stop()
+        await lane.eviction
 
     # ------------------------------------------------------------------
     # Commands
@@ -418,12 +482,14 @@ class ReconstructionServer(LineProtocolServer):
                 f"unknown stream {stream_id!r}", stream=stream_id
             )
         lane = self._lanes.get(stream_id)
-        if lane is not None and session.engine.backlog:
+        if (
+            lane is not None
+            and lane.eviction is None
+            and session.engine.backlog
+        ):
             # Commit the solves that finished since the stream's last
             # record now, not when its next record arrives.
-            async with lane.lock:
-                if not session.drained and session.failed is None:
-                    await asyncio.to_thread(session.collect)
+            await lane.call(lane.collect)
         windows = session.results_since(since)
         return {
             "ok": True,
@@ -445,40 +511,30 @@ class ReconstructionServer(LineProtocolServer):
         if len(args) != 1:
             raise ProtocolError("FLUSH needs exactly one stream id")
         stream_id = args[0]
-        lane = self._lanes.get(stream_id)
         session = self.manager.get(stream_id)
         if session is None:
             return error_response(
                 f"unknown stream {stream_id!r}", stream=stream_id
             )
+        lane = self._lanes.get(stream_id)
         if lane is not None and lane.failed is not None:
             return error_response(
                 f"stream {stream_id!r} failed: {lane.failed}",
                 stream=stream_id,
             )
-        if session.drained:
-            # Already flushed by eviction/shutdown; the engine's solver
-            # lane is released, so don't flush again — just report.
-            return {
-                "ok": True,
-                "stream": stream_id,
-                "new_commits": 0,
-                "windows_committed": len(session.results),
-                "drained": True,
-            }
-        if lane is not None:
-            # Everything enqueued before this FLUSH reaches the engine
-            # first, so the flush covers it.
-            await lane.queue.join()
-            async with lane.lock:
-                # An eviction may have drained the session while this
-                # command waited for the lock.
-                if session.drained:
-                    new_commits = 0
-                else:
-                    new_commits = await asyncio.to_thread(session.flush)
-        else:
-            new_commits = await asyncio.to_thread(session.flush)
+        new_commits = 0
+        # A drained session (evicted, or recovered as drained) has
+        # released its solver lane: report it, flush nothing.
+        if not session.drained:
+            # A recovered stream gets its lane on its first FLUSH.
+            lane = lane or self._lane(stream_id)
+            if lane.eviction is None:
+                # Queued behind every record sent before this FLUSH, so
+                # the flush covers them.
+                new_commits = await lane.call(session.flush)
+            else:
+                # The eviction flush, already queued, commits it all.
+                await asyncio.wait([lane.eviction])
         return {
             "ok": True,
             "stream": stream_id,
@@ -498,14 +554,15 @@ class ReconstructionServer(LineProtocolServer):
         for stream_id, lane in lanes:
             entry = stats["streams"].get(stream_id)
             if entry is not None:
-                entry["queue_depth"] = lane.queue.qsize()
+                entry["queue_depth"] = lane.pending
                 entry["queue_capacity"] = self.queue_capacity
-                # lane.failed (pump-side) and the session's own failed
-                # (drain-side) record the same condition from different
-                # threads; surface whichever fired first.
+                # lane.failed (ingest-side) and the session's own failed
+                # (drain-side) record the same condition; surface
+                # whichever fired first.
                 entry["failed"] = lane.failed or entry.get("failed")
         stats["server"] = {
             **self.connection_stats(),
+            "records_dropped": sum(lane.dropped for _, lane in lanes),
             "chunk": self.chunk,
             "queue_capacity": self.queue_capacity,
         }

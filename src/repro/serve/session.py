@@ -4,9 +4,9 @@ A **session** is one stream id's reconstruction state: a
 :class:`~repro.stream.engine.StreamingReconstructor` wired to the shared
 solver pool, a private :class:`~repro.obs.registry.MetricsRegistry`
 (installed around every engine call so per-stream counters stay
-per-stream even though calls run on changing worker threads), and the
-serialized rows of every committed window so RESULTS can be answered
-long after the windows were evicted from the engine.
+per-stream whichever thread makes the call), and the serialized rows of
+every committed window so RESULTS can be answered long after the
+windows were evicted from the engine.
 
 The **manager** maps stream ids to sessions, enforces the
 ``max_sessions`` admission limit (counting *active* sessions — drained
@@ -15,9 +15,10 @@ which connections feed each stream so the last disconnect triggers
 eviction: flush the engine, commit everything, release the solver lane,
 keep the results queryable.
 
-Everything here is synchronous and asyncio-free: the server calls in
-from ``asyncio.to_thread`` workers (serialized per session by an
-asyncio lock on its side), and unit tests drive sessions directly.
+Everything here is synchronous and asyncio-free: the server makes
+every engine call on the stream's own lane thread (one call at a time,
+in the order the stream's records and commands arrived), and unit tests
+drive sessions directly.
 
 With a :class:`~repro.serve.durability.DurabilityConfig`, every session
 write-ahead-logs its ingest batches and flush boundaries, snapshots its
@@ -100,8 +101,9 @@ class StreamSession:
         self.engine = StreamingReconstructor(
             config, lateness_ms=lateness_ms, executor=self._executor
         )
-        #: serialized RESULTS rows of every committed window, in commit
-        #: (== solve-index) order; survives engine eviction and drain.
+        #: serialized RESULTS rows of every committed window; row ``i``
+        #: is the window of solve index ``i`` (see :meth:`_absorb`).
+        #: Survives engine eviction and drain.
         self.results: list[dict] = []
         #: records accepted into the engine (ingest calls may batch).
         self.records_in = 0
@@ -240,7 +242,15 @@ class StreamSession:
             self.failed = reason
 
     def _absorb(self, committed) -> None:
+        # The engine commits solve indices consecutively from 0, so row
+        # i holds solve index i and results_since can slice. A window
+        # out of that order raises, which fails the stream closed.
         for cw in committed:
+            if cw.solve_index != len(self.results):
+                raise RuntimeError(
+                    f"stream {self.stream_id!r}: window {cw.solve_index} "
+                    f"committed as row {len(self.results)}"
+                )
             self.results.append(committed_window_to_json(cw))
 
     # -- ownership (which connections feed this stream) ------------------
@@ -272,12 +282,12 @@ class StreamSession:
 
     def results_since(self, since: int = -1) -> list[dict]:
         """Committed rows with ``solve_index > since`` (all by default)."""
-        return [row for row in self.results if row["solve_index"] > since]
+        return self.results[max(since + 1, 0):]
 
     def stats(self) -> dict:
         # Deliberately reads only scalar engine state (no
         # ``engine.stats()``): STATS runs on the event loop while the
-        # session's pump thread may be mid-ingest, and scalar reads are
+        # session's lane thread may be mid-ingest, and scalar reads are
         # safe where iterating the engine's dicts would not be.
         return {
             "backend": self.backend,
@@ -481,7 +491,7 @@ class SessionManager:
 
         Engine-level replay failures (e.g. a strict-validation rejection
         that also failed the live run) are contained exactly like the
-        live pump contains them — the session is marked failed, its
+        live lane contains them — the session is marked failed, its
         committed results stay queryable — while WAL corruption stays
         fatal (raised from the writer's open or the replay iterator).
         """

@@ -9,6 +9,7 @@ would hit it).
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -216,6 +217,105 @@ def test_overlong_line_closes_only_its_own_connection(sock_path):
     assert served == batch.estimates
 
 
+def _raw(sock_path):
+    """A bare unix-socket connection and its line reader."""
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(30.0)
+    sock.connect(sock_path)
+    return sock, sock.makefile("rb")
+
+
+def _replies_until_eof(rfile):
+    return [json.loads(line) for line in rfile]
+
+
+def test_pipelined_commands_in_one_send_get_every_reply_in_order(sock_path):
+    packets = _packets()
+    streams = ["a", "b", "c", "d"]
+    handle = _serve(sock_path)
+    try:
+        with connect(socket_path=sock_path) as feeder:
+            for stream in streams:
+                feeder.send_packets(packets[:10], stream=stream)
+            assert feeder.health()["ok"]
+            sock, rfile = _raw(sock_path)
+            with sock, rfile:
+                sock.sendall(
+                    b"STATS\n"
+                    + b"".join(f"RESULTS {s}\n".encode() for s in streams)
+                )
+                replies = [json.loads(rfile.readline()) for _ in range(5)]
+    finally:
+        handle.stop()
+    assert all(reply["ok"] for reply in replies), replies
+    assert set(replies[0]["streams"]) == set(streams)
+    assert [reply["stream"] for reply in replies[1:]] == streams
+
+
+def test_a_command_split_over_two_sends_is_answered_once(sock_path):
+    handle = _serve(sock_path)
+    try:
+        sock, rfile = _raw(sock_path)
+        with sock, rfile:
+            sock.sendall(b"HEAL")
+            time.sleep(0.05)
+            sock.sendall(b"TH\nQUIT\n")
+            replies = _replies_until_eof(rfile)
+    finally:
+        handle.stop()
+    assert len(replies) == 2, replies
+    assert replies[0]["ok"] and replies[0]["status"] == "serving"
+    assert replies[1] == {"ok": True, "bye": True}
+
+
+def test_a_malformed_record_between_commands_is_answered_in_between(
+    sock_path,
+):
+    handle = _serve(sock_path)
+    try:
+        sock, rfile = _raw(sock_path)
+        with sock, rfile:
+            sock.sendall(b"HEALTH\n{not json\nSTATS\nQUIT\n")
+            replies = _replies_until_eof(rfile)
+    finally:
+        handle.stop()
+    assert len(replies) == 4, replies
+    assert replies[0]["status"] == "serving"
+    assert replies[1]["async"] is True and not replies[1]["ok"]
+    assert "not valid JSON" in replies[1]["error"]
+    assert replies[2]["server"]["records_rejected"] == 1
+    assert replies[3] == {"ok": True, "bye": True}
+
+
+def test_an_unterminated_last_line_is_answered_at_eof(sock_path):
+    handle = _serve(sock_path)
+    try:
+        sock, rfile = _raw(sock_path)
+        with sock, rfile:
+            sock.sendall(b"HEALTH\nHEALTH")
+            sock.shutdown(socket.SHUT_WR)
+            replies = _replies_until_eof(rfile)
+    finally:
+        handle.stop()
+    assert [reply["status"] for reply in replies] == ["serving", "serving"]
+
+
+def test_an_overlong_unterminated_tail_gets_the_fatal_reply(sock_path):
+    handle = _serve(sock_path)
+    try:
+        sock, rfile = _raw(sock_path)
+        with sock, rfile:
+            # The connection stays open for writing: the tail alone,
+            # never terminated, must end it.
+            sock.sendall(b"HEALTH\n" + b"x" * (MAX_LINE_BYTES + 1))
+            replies = _replies_until_eof(rfile)
+    finally:
+        handle.stop()
+    assert len(replies) == 2, replies
+    assert replies[0]["status"] == "serving"
+    assert replies[1] == {"ok": False, "error": "line too long", "fatal": True}
+
+
 def test_unknown_stream_and_bad_commands_get_error_lines(sock_path):
     handle = _serve(sock_path)
     try:
@@ -331,6 +431,38 @@ def test_backpressure_bounds_the_queue_and_drops_nothing(sock_path):
     assert stats["streams"]["s"]["records_in"] == len(packets)
 
 
+def test_lane_counts_hold_under_fast_thread_switching(sock_path):
+    """The loop counts a record into its lane and the lane's thread
+    counts it out. With more lanes than cores, lanes of two records and
+    a very short switch interval, a lost update would park a reader for
+    good or leave a nonzero queue depth behind."""
+    packets = _packets()
+    streams = [f"stress-{index}" for index in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        handle = _serve(sock_path, queue_capacity=2, chunk=1)
+        clients = []
+        try:
+            clients = [connect(socket_path=sock_path) for _ in range(3)]
+            for index, stream in enumerate(streams):
+                clients[index % 3].send_packets(packets, stream=stream)
+            for index, stream in enumerate(streams):
+                assert clients[index % 3].flush(stream)["ok"]
+            stats = clients[0].stats()
+        finally:
+            for client in clients:
+                client.close()
+            handle.stop()
+    finally:
+        sys.setswitchinterval(interval)
+    assert stats["server"]["records_accepted"] == len(streams) * len(packets)
+    for stream in streams:
+        entry = stats["streams"][stream]
+        assert entry["records_in"] == len(packets)
+        assert entry["queue_depth"] == 0
+
+
 def test_disconnect_evicts_and_results_stay_queryable(sock_path):
     packets = _packets()
     handle = _serve(sock_path)
@@ -361,6 +493,104 @@ def test_disconnect_evicts_and_results_stay_queryable(sock_path):
         handle.stop()
     batch = DomoReconstructor(DomoConfig()).estimate(packets)
     assert served == batch.estimates  # eviction flush is still parity
+
+
+def _lane_threads():
+    return {
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith("domo-lane-")
+    }
+
+
+def test_evicted_lane_thread_exits_while_another_stream_is_served(
+    sock_path,
+):
+    packets = _packets()
+    handle = _serve(sock_path, adoption_grace_s=0.0)
+    server = handle.server
+    try:
+        with connect(socket_path=sock_path) as keeper:
+            keeper.send_packets(packets[1::2], stream="kept")
+            assert keeper.health()["ok"]
+            with connect(socket_path=sock_path) as feeder:
+                feeder.send_packets(packets[::2], stream="evicted")
+                assert feeder.health()["ok"]
+                assert {"domo-lane-kept", "domo-lane-evicted"} <= (
+                    _lane_threads()
+                )
+            deadline = time.monotonic() + 30.0
+            while "domo-lane-evicted" in _lane_threads():
+                assert time.monotonic() < deadline, _lane_threads()
+                time.sleep(0.02)
+            assert server.manager.get("evicted").drained
+            assert "domo-lane-kept" in _lane_threads()
+            assert keeper.flush("kept")["ok"]
+            assert not keeper.async_errors
+            served = keeper.estimates("kept")
+    finally:
+        handle.stop()
+    batch = DomoReconstructor(DomoConfig()).estimate(packets[1::2])
+    assert served == batch.estimates
+
+
+def test_no_lane_thread_outlives_the_server(sock_path):
+    packets = _packets()
+    handle = _serve(sock_path)
+    names = {"domo-lane-left-a", "domo-lane-left-b"}
+    client = connect(socket_path=sock_path)
+    try:
+        client.send_packets(packets[::2], stream="left-a")
+        client.send_packets(packets[1::2], stream="left-b")
+        assert client.health()["ok"]
+        assert names <= _lane_threads()
+    finally:
+        # Stopped with the client still connected: the lanes end on
+        # the shutdown drain, not on an eviction.
+        report = handle.stop()
+        client.close()
+    assert not names & _lane_threads()
+    streams = report.stats["streams"]
+    assert sum(streams[s]["records_in"] for s in ("left-a", "left-b")) == (
+        len(packets)
+    )
+
+
+def test_records_for_a_recovered_drained_stream_are_refused(tmp_path):
+    from repro.serve.durability import DurabilityConfig
+
+    packets = _packets()
+    sock = str(tmp_path / "domo.sock")
+
+    def serve():
+        return run_in_thread(
+            ReconstructionServer(
+                DomoConfig(),
+                socket_path=sock,
+                durability=DurabilityConfig(wal_dir=tmp_path / "wal"),
+            )
+        )
+
+    handle = serve()
+    try:
+        with connect(socket_path=sock) as client:
+            client.send_packets(packets, stream="done")
+            assert client.flush("done")["ok"]
+            served = client.estimates("done")
+    finally:
+        handle.stop()  # drains the stream, and its snapshot says so
+    handle = serve()
+    try:
+        with connect(socket_path=sock) as client:
+            client.send_packets(packets[:3], stream="done")
+            reply = client.flush("done")
+            assert reply["ok"] and reply["drained"] is True, reply
+            assert len(client.async_errors) == 3
+            assert all("drained" in e["error"] for e in client.async_errors)
+            assert "domo-lane-done" not in _lane_threads()
+            assert client.estimates("done") == served
+    finally:
+        handle.stop()
 
 
 def test_strict_validation_poison_fails_lane_without_wedging(sock_path):
@@ -413,6 +643,39 @@ def test_strict_validation_poison_fails_lane_without_wedging(sock_path):
     assert report is not None
 
 
+def test_an_out_of_order_commit_on_results_fails_the_stream_closed(
+    sock_path, monkeypatch
+):
+    from types import SimpleNamespace
+
+    packets = _packets()
+    handle = _serve(sock_path)
+    try:
+        with connect(socket_path=sock_path) as client:
+            client.send_packets(packets[:20], stream="s")
+            assert client.health()["ok"]
+            session = handle.server.manager.get("s")
+            # RESULTS' commit of a backlog meets a window that skips a
+            # solve index.
+            skipped = SimpleNamespace(solve_index=len(session.results) + 1)
+            session.collect = lambda: session._absorb([skipped])
+            monkeypatch.setattr(
+                StreamingReconstructor, "backlog", property(lambda _: 1)
+            )
+            reply = client.results("s")
+            assert not reply["ok"] and "committed as row" in reply["error"]
+            assert "committed as row" in client.stats()["streams"]["s"][
+                "failed"
+            ]
+            client.send_packets(packets[20:21], stream="s")
+            assert client.health()["ok"]
+            assert [e["error"] for e in client.async_errors] == [
+                f"stream 's' failed: {session.failed}"
+            ]
+    finally:
+        handle.stop()
+
+
 def test_record_racing_an_eviction_is_refused_not_silently_lost(sock_path):
     """The eviction flush runs on a worker thread and only flips
     ``drained`` at the very end. A record arriving in that window must
@@ -462,6 +725,39 @@ def test_record_racing_an_eviction_is_refused_not_silently_lost(sock_path):
         handle.stop()
     batch = DomoReconstructor(DomoConfig()).estimate(packets)
     assert served == batch.estimates  # refused stragglers changed nothing
+
+
+def test_flush_during_an_eviction_answers_once_the_eviction_is_done(
+    sock_path,
+):
+    packets = _packets()
+    handle = _serve(sock_path, adoption_grace_s=0.0)
+    server = handle.server
+    real_evict = server.manager.evict
+    started = threading.Event()
+    release = threading.Event()
+
+    def slow_evict(session):
+        started.set()
+        release.wait(30.0)
+        real_evict(session)
+
+    server.manager.evict = slow_evict
+    try:
+        with connect(socket_path=sock_path) as feeder:
+            feeder.send_packets(packets, stream="s")
+            assert feeder.health()["ok"]
+        assert started.wait(30.0)
+        with connect(socket_path=sock_path) as query:
+            threading.Timer(0.1, release.set).start()
+            reply = query.flush("s")
+            assert reply["ok"] and reply["drained"] is True, reply
+            assert reply["new_commits"] == 0
+            committed = len(server.manager.get("s").results)
+            assert reply["windows_committed"] == committed > 0
+    finally:
+        release.set()
+        handle.stop()
 
 
 def test_nonfinite_response_value_yields_error_line_not_dead_socket(

@@ -162,3 +162,63 @@ def test_drain_survives_a_failing_flush_and_still_releases():
     assert "engine broken" in session.failed
     assert manager.stats()["streams"]["s"]["failed"] == session.failed
     manager.close()  # completes despite the failed session
+
+
+def _scanned(session, since):
+    """RESULTS' rows as a scan over every row would pick them."""
+    return [row for row in session.results if row["solve_index"] > since]
+
+
+def _assert_slices_like_a_scan(session):
+    assert session.results, "the cursors need committed rows"
+    for since in range(-3, len(session.results) + 3):
+        assert session.results_since(since) == _scanned(session, since)
+
+
+def test_results_since_slices_like_a_scan_live_and_restored(tmp_path):
+    from repro.serve.durability import DurabilityConfig
+
+    packets = _packets()
+
+    def manager():
+        return SessionManager(
+            DomoConfig(),
+            lateness_ms=2_000.0,
+            durability=DurabilityConfig(wal_dir=tmp_path / "wal"),
+        )
+
+    live = manager()
+    session = live.get_or_create("s")
+    for lo in range(0, len(packets), 16):
+        session.ingest(packets[lo:lo + 16])
+    _assert_slices_like_a_scan(session)
+    assert session.snapshot()
+    rows = list(session.results)
+    # Abandoned undrained: the next manager restores the snapshot.
+    session._durability.close()
+    live.pool.close()
+
+    restored = manager()
+    try:
+        summary = restored.recover_all()["s"]
+        assert summary["wal_records_replayed"] == 0
+        session = restored.get("s")
+        assert session.results == rows
+        _assert_slices_like_a_scan(session)
+    finally:
+        restored.close()
+
+
+def test_a_window_absorbed_out_of_order_raises():
+    from types import SimpleNamespace
+
+    packets = _packets()
+    manager = SessionManager(DomoConfig(), lateness_ms=2_000.0)
+    session = manager.get_or_create("s")
+    session.ingest(packets)
+    assert session.results
+    row = len(session.results)
+    with pytest.raises(RuntimeError, match=f"committed as row {row}"):
+        session._absorb([SimpleNamespace(solve_index=row + 1)])
+    assert len(session.results) == row
+    manager.close()
