@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 def symmetrize(matrix: np.ndarray) -> np.ndarray:
@@ -68,7 +66,9 @@ class KKTFactorization:
     same form) by LAPACK's Cholesky; :attr:`form` names which. Either
     falls back to a pseudo-inverse when its factorization fails: SuperLU
     on a numerically singular system, Cholesky on one that is not
-    positive definite (a nonzero ``potrf`` info).
+    positive definite (a nonzero ``potrf`` info). SuperLU and LAPACK load
+    with the first factorization of their form (DESIGN §11), and
+    :meth:`solve` imports nothing.
     """
 
     def __init__(
@@ -82,6 +82,8 @@ class KKTFactorization:
         self.form = "sparse" if sp.issparse(quadratic) else "dense"
         self._lu = self._cholesky = self._dense_inverse = None
         if self.form == "sparse":
+            import scipy.sparse.linalg as spla
+
             system = (
                 sp.csc_matrix(quadratic)
                 + sigma * sp.identity(n, format="csc")
@@ -93,6 +95,8 @@ class KKTFactorization:
             except RuntimeError:
                 system = system.toarray()
         else:
+            from scipy.linalg.lapack import dpotrf, dpotrs
+
             system = (
                 quadratic
                 + sigma * np.eye(n)
@@ -101,6 +105,7 @@ class KKTFactorization:
             cholesky, info = dpotrf(system)
             if info == 0:
                 self._cholesky = cholesky
+                self._dpotrs = dpotrs
                 return
         self._dense_inverse = np.linalg.pinv(system)
 
@@ -109,7 +114,7 @@ class KKTFactorization:
         if self._lu is not None:
             return self._lu.solve(rhs)
         if self._cholesky is not None:
-            return dpotrs(self._cholesky, rhs)[0]
+            return self._dpotrs(self._cholesky, rhs)[0]
         return self._dense_inverse @ rhs
 
 

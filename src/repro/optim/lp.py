@@ -19,7 +19,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from repro.constants import INF
 from repro.obs.solver_telemetry import record_solver_result
@@ -115,6 +114,8 @@ _LINPROG_STATUS = {
 
 def solve_lp(problem: LinearProgram) -> SolverResult:
     """Solve a :class:`LinearProgram` with scipy's HiGHS backend."""
+    from scipy.optimize import linprog  # loaded by the first LP (DESIGN §11)
+
     started = time.perf_counter()
     outcome = linprog(problem.c, **problem.linprog_form, method="highs")
     status = _LINPROG_STATUS.get(outcome.status, SolverStatus.NUMERICAL_ERROR)

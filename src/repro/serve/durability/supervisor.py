@@ -128,15 +128,19 @@ class Supervisor:
     def _tee_stderr(self, child: subprocess.Popen) -> threading.Thread:
         def pump() -> None:
             assert child.stderr is not None
-            for raw in child.stderr:
-                try:
-                    sys.stderr.buffer.write(raw)
-                    sys.stderr.buffer.flush()
-                except (OSError, ValueError):
-                    pass
-                self._tail.append(
-                    raw.decode("utf-8", errors="replace").rstrip("\n")
-                )
+            # The reader closes the pipe at EOF, so a join that times out
+            # never closes it under a live reader, and no incarnation's
+            # pipe outlives its output.
+            with child.stderr:
+                for raw in child.stderr:
+                    try:
+                        sys.stderr.buffer.write(raw)
+                        sys.stderr.buffer.flush()
+                    except (OSError, ValueError):
+                        pass
+                    self._tail.append(
+                        raw.decode("utf-8", errors="replace").rstrip("\n")
+                    )
 
         thread = threading.Thread(
             target=pump, name="domo-supervise-stderr", daemon=True

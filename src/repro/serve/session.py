@@ -507,10 +507,22 @@ class SessionManager:
                 f"stream {stream_id!r}: {exc}; restore a build that "
                 f"registers it or clear {state_dir}"
             ) from exc
-        config_sig = self._sig_for(config)
         durability = StreamDurability(
-            self.durability, stream_id, config_sig=config_sig
+            self.durability, stream_id, config_sig=self._sig_for(config)
         )
+        try:
+            return self._restore_stream(stream_id, config, durability)
+        except BaseException:
+            # A refused recovery leaves no WAL segment open behind it.
+            durability.close()
+            raise
+
+    def _restore_stream(
+        self, stream_id: str, config: DomoConfig, durability: StreamDurability
+    ) -> dict:
+        """Load the newest snapshot of an opened stream, replay its WAL
+        suffix into a new session and register that session."""
+        config_sig = durability.config_sig
         snapshot = load_latest_snapshot(durability.stream_dir)
         cursor = 0
         if snapshot is not None:

@@ -214,6 +214,7 @@ def test_crashed_mnt_stream_recovers_as_an_mnt_stream(tmp_path):
     session.flush()
     expected = list(session.results)
     crashed.pool.close()  # simulate death: no drain, no close
+    session._durability.close()
 
     recovered = manager()
     try:
@@ -240,6 +241,7 @@ def test_backend_meta_alone_recovers_pre_snapshot_crash(tmp_path):
     session = crashed.get_or_create("s", backend="mnt")
     session.ingest(packets[:32])
     crashed.pool.close()
+    session._durability.close()
 
     recovered = SessionManager(DomoConfig(), durability=durability)
     try:
@@ -253,8 +255,10 @@ def test_backend_meta_alone_recovers_pre_snapshot_crash(tmp_path):
 def test_recovery_names_a_stream_whose_backend_is_unregistered(tmp_path):
     durability = DurabilityConfig(wal_dir=tmp_path / "wal")
     crashed = SessionManager(DomoConfig(), durability=durability)
-    crashed.get_or_create("old", backend="mnt").ingest(_packets()[:8])
+    session = crashed.get_or_create("old", backend="mnt")
+    session.ingest(_packets()[:8])
     crashed.pool.close()
+    session._durability.close()
     # The stream was opened under a backend this build does not have.
     stream_dir = stream_state_dir(durability.wal_dir, "old")
     (stream_dir / "backend.json").write_text(json.dumps({"backend": "cs"}))

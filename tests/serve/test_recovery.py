@@ -12,7 +12,10 @@ import pytest
 
 from repro.core.pipeline import DomoConfig
 from repro.serve.durability import DurabilityConfig
-from repro.serve.durability.recovery import SnapshotConfigMismatchError
+from repro.serve.durability.recovery import (
+    SnapshotConfigMismatchError,
+    StreamDurability,
+)
 from repro.serve.session import SessionManager
 
 from .crash_harness import make_packets
@@ -72,14 +75,15 @@ def test_replay_parity_on_unsorted_late_packet_stream(tmp_path):
     finally:
         ref.close()
 
-    # Crashed run: feed half, abandon without drain (the pool is the
-    # only OS resource worth reclaiming; a SIGKILL would not even do
-    # that), recover into a fresh manager, feed the rest.
+    # Crashed run: feed half, abandon without flush or drain (closing
+    # only the pool and the WAL file, so no OS resource leaks), recover
+    # into a fresh manager, feed the rest.
     crashed = _manager(wal_dir=tmp_path / "wal")
     session = crashed.get_or_create("s")
     for batch in batches[:crash_after]:
         session.ingest(batch)
     crashed.pool.close()  # simulate death: no flush, no drain, no close
+    session._durability.close()
 
     recovered = _manager(wal_dir=tmp_path / "wal")
     try:
@@ -111,6 +115,7 @@ def test_recovery_uses_snapshot_and_replays_only_the_suffix(tmp_path):
     for batch in batches:
         session.ingest(batch)
     crashed.pool.close()
+    session._durability.close()
 
     recovered = _manager(wal_dir=tmp_path / "wal")
     try:
@@ -124,7 +129,7 @@ def test_recovery_uses_snapshot_and_replays_only_the_suffix(tmp_path):
         recovered.close()
 
 
-def test_snapshot_config_mismatch_is_a_named_refusal(tmp_path):
+def test_snapshot_config_mismatch_is_a_named_refusal(tmp_path, monkeypatch):
     packets = make_packets()
     crashed = _manager(wal_dir=tmp_path / "wal")
     session = crashed.get_or_create("s")
@@ -132,13 +137,27 @@ def test_snapshot_config_mismatch_is_a_named_refusal(tmp_path):
         session.ingest(batch)
     assert session.snapshot()  # ensure a snapshot exists to disagree with
     crashed.pool.close()
+    session._durability.close()
 
+    opened = []
+
+    class RecordingDurability(StreamDurability):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    monkeypatch.setattr(
+        "repro.serve.session.StreamDurability", RecordingDurability
+    )
     mismatched = _manager(wal_dir=tmp_path / "wal", lateness_ms=123.0)
     try:
         with pytest.raises(SnapshotConfigMismatchError, match="config"):
             mismatched.recover_all()
     finally:
         mismatched.pool.close()
+    # The refusal closed the WAL writer it had opened.
+    assert [d.stream_id for d in opened] == ["s"]
+    assert opened[0].wal._file is None
 
 
 def test_drained_stream_restores_drained_and_queryable(tmp_path):
@@ -198,6 +217,7 @@ def test_engine_failure_during_replay_is_contained(tmp_path):
         session.mark_failed(f"{type(exc).__name__}: {exc}")
     assert session.failed is not None
     crashed.pool.close()
+    session._durability.close()
 
     recovered = SessionManager(
         config,

@@ -35,6 +35,27 @@ def test_crash_loop_trips_breaker_with_stderr_tail():
     assert supervisor.restarts_total == 2
 
 
+def test_crash_loop_closes_every_child_stderr_pipe():
+    """Each incarnation's stderr pipe is closed once its output is read,
+    so a crash-looping server holds no pipe per restart."""
+    children = []
+
+    class Recording(Supervisor):
+        def _tee_stderr(self, child):
+            children.append(child)
+            return super()._tee_stderr(child)
+
+    supervisor = Recording(
+        _child("import sys; print('down', file=sys.stderr); sys.exit(5)"),
+        max_restarts=3,
+        backoff_s=0.01,
+    )
+    with pytest.raises(CrashLoopError):
+        supervisor.run()
+    assert len(children) == 4
+    assert all(child.stderr.closed for child in children)
+
+
 def test_transient_crash_recovers_and_returns_clean(tmp_path):
     """A child that dies once and then exits cleanly: one restart, no
     breaker, final code 0."""
