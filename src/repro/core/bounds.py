@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from repro.constants import INF
 from repro.core.constraints import ConstraintSystem, upper_sum_rows
-from repro.core.records import ArrivalKey
+from repro.core.records import ArrivalKey, spans
 from repro.graphcut.extraction import SubgraphExtractor
 from repro.graphcut.graph import ConstraintGraph
 from repro.optim.lp import LinearProgram, solve_lp
@@ -68,9 +68,7 @@ def _spans(indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Positions of the entries of rows (CSR) or columns (CSC) ``ids``,
     span after span, each in storage order."""
     starts = indptr[ids]
-    counts = indptr[ids + 1] - starts
-    shifts = starts - np.cumsum(counts) + counts
-    return np.repeat(shifts, counts) + np.arange(counts.sum())
+    return spans(starts, indptr[ids + 1] - starts)
 
 
 def project_rows(
@@ -175,9 +173,9 @@ class BoundComputer:
         graph = ConstraintGraph()
         for column in range(self.system.num_unknowns):
             graph.add_vertex(column)
-        builder = self.system.builder
-        for start, stop in zip(builder.indptr, builder.indptr[1:]):
-            graph.add_clique(builder.indices[start:stop])
+        indptr, indices = self._A.indptr.tolist(), self._A.indices.tolist()
+        for start, stop in zip(indptr, indptr[1:]):
+            graph.add_clique(indices[start:stop])
         return graph
 
     # ------------------------------------------------------------------

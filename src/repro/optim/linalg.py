@@ -69,6 +69,10 @@ class KKTFactorization:
     positive definite (a nonzero ``potrf`` info). SuperLU and LAPACK load
     with the first factorization of their form (DESIGN §11), and
     :meth:`solve` imports nothing.
+
+    ``P + sigma*I`` and ``A'A`` are computed once: :meth:`refactor` for a
+    new ``rho`` adds them up as the constructor does, so the matrix it
+    factors is the one a new instance would factor, bit for bit.
     """
 
     def __init__(
@@ -80,15 +84,22 @@ class KKTFactorization:
     ) -> None:
         n = quadratic.shape[0]
         self.form = "sparse" if sp.issparse(quadratic) else "dense"
+        if self.form == "sparse":
+            self._regularized = sp.csc_matrix(quadratic) + sigma * sp.identity(
+                n, format="csc"
+            )
+        else:
+            self._regularized = quadratic + sigma * np.eye(n)
+        self._gram = constraints.T @ constraints
+        self.refactor(rho)
+
+    def refactor(self, rho: float) -> None:
+        """Factor ``P + sigma*I + rho*A'A`` for a new ``rho``."""
         self._lu = self._cholesky = self._dense_inverse = None
+        system = self._regularized + rho * self._gram
         if self.form == "sparse":
             import scipy.sparse.linalg as spla
 
-            system = (
-                sp.csc_matrix(quadratic)
-                + sigma * sp.identity(n, format="csc")
-                + rho * (constraints.T @ constraints)
-            )
             try:
                 self._lu = spla.splu(sp.csc_matrix(system))
                 return
@@ -97,11 +108,6 @@ class KKTFactorization:
         else:
             from scipy.linalg.lapack import dpotrf, dpotrs
 
-            system = (
-                quadratic
-                + sigma * np.eye(n)
-                + rho * (constraints.T @ constraints)
-            )
             cholesky, info = dpotrf(system)
             if info == 0:
                 self._cholesky = cholesky

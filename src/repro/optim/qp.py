@@ -178,7 +178,7 @@ def solve_qp(
             moved = max(proposed / rho, rho / proposed)
             if moved > RHO_REFACTOR_RATIO and iteration < cfg.max_iterations:
                 rho = proposed
-                kkt = KKTFactorization(P, A, sigma, rho)
+                kkt.refactor(rho)
                 refactorizations += 1
 
     if status is SolverStatus.ITERATION_LIMIT:
