@@ -90,6 +90,13 @@ class TestConstraintBuilder:
         with pytest.raises(ValueError):
             builder.build(num_variables=3)
 
+    def test_negative_column_in_a_block_detected_at_build(self):
+        builder = ConstraintBuilder()
+        builder.add_block([2], [-1, 1], [1.0, -1.0], [0.0], [1.0], ["sum"])
+        for assemble in (builder.csr_arrays, builder.build):
+            with pytest.raises(ValueError, match="< 0"):
+                assemble(num_variables=3)
+
     def test_violation_and_max_violation(self):
         builder = ConstraintBuilder()
         builder.add_le({0: 1.0}, 1.0, tag="order")
