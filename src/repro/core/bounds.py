@@ -168,13 +168,17 @@ class BoundComputer:
 
         Columns go in first, then each row's clique in row order. That
         order fixes neighbor and BFS order, and with them the extracted
-        sub-graphs, so it must not change with the data structure.
+        sub-graphs, so it must not change with the data structure. A row
+        of one term adds nothing to a graph that has its column already,
+        so only rows of two or more terms are visited.
         """
         graph = ConstraintGraph()
         for column in range(self.system.num_unknowns):
             graph.add_vertex(column)
-        indptr, indices = self._A.indptr.tolist(), self._A.indices.tolist()
-        for start, stop in zip(indptr, indptr[1:]):
+        indptr, indices = self._A.indptr, self._A.indices.tolist()
+        rows = np.flatnonzero(np.diff(indptr) > 1)
+        starts, stops = indptr[rows].tolist(), indptr[rows + 1].tolist()
+        for start, stop in zip(starts, stops):
             graph.add_clique(indices[start:stop])
         return graph
 

@@ -8,9 +8,9 @@ boundary is then tuned with **Balanced Label Propagation** (Ugander &
 Backstrom, WSDM'13) to minimize the number of cut edges.
 
 * :mod:`repro.graphcut.graph` — the constraint graph structure;
-* :mod:`repro.graphcut.blp` — balanced label propagation, with the move
-  selection solved as a small LP (via :mod:`repro.optim.lp`), as in the
-  original algorithm;
+* :mod:`repro.graphcut.blp` — balanced label propagation; the original
+  algorithm's move-count LP has a prefix-count optimum in the two-way
+  form, which BLP takes in closed form, so the package solves no LP;
 * :mod:`repro.graphcut.extraction` — per-target sub-graph extraction.
 """
 

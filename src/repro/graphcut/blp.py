@@ -3,27 +3,25 @@
 BLP improves a balanced partition by rounds of *label propagation with
 balance constraints*: every vertex computes the gain (neighbors it would
 join minus neighbors it would leave) of relocating to the other side, and
-a small linear program chooses how many of the best-gain candidates may
-actually move in each direction so the partition sizes stay within their
-configured bounds. Because candidates are sorted by decreasing gain, the
-relocation utility is concave in the number of moves and the LP is exact.
+the round takes the best-gain candidates in each direction, as many as
+keep the partition sizes within their configured bounds. The original
+algorithm chooses those counts with a linear program over [0, 1] move
+variables; in the two-partition form its one balance row has ±1
+coefficients and integer sides, and with candidates sorted by decreasing
+gain an optimum is a pair of prefix counts, found here in closed form
+(:func:`_choose_move_counts`).
 
 Domo uses the two-partition specialization (inside / outside of the
-extracted sub-graph); the LP matches the paper's formulation restricted to
-one ordered pair per direction.
+extracted sub-graph).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Hashable
 
-import numpy as np
-import scipy.sparse as sp
-
-from repro.constants import INF
 from repro.graphcut.graph import ConstraintGraph
-from repro.optim.lp import LinearProgram, solve_lp
 
 
 @dataclass
@@ -44,24 +42,23 @@ def _relocation_gains(
 
     Only vertices on the boundary (with at least one cross edge) are
     candidates; interior vertices can never improve the cut by moving.
+    The sorts are stable, so equal gains keep the order candidates were
+    found in: ``inside``'s iteration order for out-moves and
+    ``boundary_outside``'s for in-moves, which depends on the order its
+    members were added (one ``add`` per cross edge, in neighbor order).
     """
     out_moves: list[tuple[int, Hashable]] = []  # inside -> outside
     in_moves: list[tuple[int, Hashable]] = []  # outside -> inside
     boundary_outside: set = set()
     for vertex in inside:
-        for neighbor in graph.neighbors(vertex):
-            if neighbor not in inside:
-                boundary_outside.add(neighbor)
-    for vertex in inside:
-        if vertex in frozen:
-            continue
         stay = cross = 0
         for neighbor, weight in graph.neighbors(vertex).items():
             if neighbor in inside:
                 stay += weight
             else:
                 cross += weight
-        if cross > 0:
+                boundary_outside.add(neighbor)
+        if cross > 0 and vertex not in frozen:
             out_moves.append((cross - stay, vertex))
     for vertex in boundary_outside:
         if vertex in frozen:
@@ -84,41 +81,36 @@ def _choose_move_counts(
     inside_size: int,
     size_bounds: tuple[int, int],
 ) -> tuple[int, int]:
-    """LP: how many top-gain moves to take in each direction.
+    """How many top-gain moves to take in each direction.
 
     maximize   sum of chosen gains
     subject to size_lo <= inside_size - moves_out + moves_in <= size_hi
 
-    Each candidate is a [0, 1] variable with its gain as the objective;
-    sorted gains make the fractional optimum integral up to one split
-    candidate, which rounding toward feasibility handles.
+    Both gain lists are sorted in decreasing order, so the best ``k``
+    moves in one direction are its first ``k``, and the LP over [0, 1]
+    move variables has an optimum at a pair of prefix counts. For each
+    out-count the best in-count is the number of positive in-gains (the
+    smallest maximizer of the in-prefix sums, which are concave),
+    clamped into the counts the size bounds allow. Of the optimal pairs
+    the one with the fewest out-moves, then the fewest in-moves, is
+    returned; (0, 0) when no pair meets the size bounds.
     """
-    n_out, n_in = len(out_gains), len(in_gains)
-    if n_out + n_in == 0:
-        return 0, 0
-    c = -np.array([float(g) for g in out_gains] + [float(g) for g in in_gains])
-    balance_row = np.concatenate([-np.ones(n_out), np.ones(n_in)])
     lo, hi = size_bounds
-    problem = LinearProgram(
-        c=c,
-        A=sp.csr_matrix(balance_row.reshape(1, -1)),
-        row_lower=np.array([lo - inside_size], dtype=float),
-        row_upper=np.array([hi - inside_size], dtype=float),
-        x_lower=np.zeros(n_out + n_in),
-        x_upper=np.ones(n_out + n_in),
-    )
-    result = solve_lp(problem)
-    if not result.status.is_usable:
+    in_sums = list(accumulate(in_gains, initial=0))
+    positive_in = sum(1 for gain in in_gains if gain > 0)
+    best = None
+    for moves_out, out_sum in enumerate(accumulate(out_gains, initial=0)):
+        fewest = max(0, lo - inside_size + moves_out)
+        most = min(len(in_gains), hi - inside_size + moves_out)
+        if fewest > most:
+            continue
+        moves_in = min(max(positive_in, fewest), most)
+        total = out_sum + in_sums[moves_in]
+        if best is None or total > best[0]:
+            best = (total, moves_out, moves_in)
+    if best is None:
         return 0, 0
-    z = result.x
-    moves_out = int(round(float(np.sum(z[:n_out]))))
-    moves_in = int(round(float(np.sum(z[n_out:]))))
-    # Re-impose the balance bounds after rounding.
-    while inside_size - moves_out + moves_in < lo and moves_out > 0:
-        moves_out -= 1
-    while inside_size - moves_out + moves_in > hi and moves_in > 0:
-        moves_in -= 1
-    return moves_out, moves_in
+    return best[1], best[2]
 
 
 def refine_two_way(
@@ -137,7 +129,7 @@ def refine_two_way(
             the initial size.
         frozen: vertices that may never change side (Domo pins the target
             arrival time and its immediate neighbors inside).
-        max_rounds: LP/propagation rounds before giving up.
+        max_rounds: propagation rounds before giving up.
     """
     inside = set(inside)
     frozen = frozen or set()
@@ -163,9 +155,6 @@ def refine_two_way(
         )
         chosen_out = [v for _, v in out_moves[:moves_out]]
         chosen_in = [v for _, v in in_moves[:moves_in]]
-        gain = sum(g for g, _ in out_moves[:moves_out]) + sum(
-            g for g, _ in in_moves[:moves_in]
-        )
         if not chosen_out and not chosen_in:
             break
         candidate = (inside - set(chosen_out)) | set(chosen_in)
@@ -177,7 +166,6 @@ def refine_two_way(
         inside = candidate
         cut = new_cut
         total_moves += len(chosen_out) + len(chosen_in)
-        del gain
     return BlpResult(
         inside=inside,
         initial_cut=initial_cut,

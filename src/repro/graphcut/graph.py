@@ -45,12 +45,21 @@ class ConstraintGraph:
         self._adjacency[b][a] = self._adjacency[b].get(a, 0) + weight
 
     def add_clique(self, vertices: Iterable[Hashable]) -> None:
-        """Connect all pairs among ``vertices`` (one constraint row)."""
+        """Connect all pairs among ``vertices`` (one constraint row).
+
+        New vertices are added in first-occurrence order, and each
+        vertex's new neighbors in that order too, so neighbor order is
+        first co-occurrence, row by row, in row term order.
+        """
         items = list(dict.fromkeys(vertices))
-        for i, a in enumerate(items):
-            self.add_vertex(a)
-            for b in items[i + 1:]:
-                self.add_edge(a, b)
+        adjacency = self._adjacency
+        for a in items:
+            neighbors = adjacency.get(a)
+            if neighbors is None:
+                neighbors = adjacency[a] = {}
+            for b in items:
+                if b is not a:  # items are distinct objects
+                    neighbors[b] = neighbors.get(b, 0) + 1
 
     def neighbors(self, vertex: Hashable) -> dict[Hashable, int]:
         """Neighbor -> edge weight mapping (empty for isolated/missing)."""

@@ -4,8 +4,9 @@ Domo's bound computation (paper §IV.C) solves two LPs per unknown arrival
 time: ``min t_k`` and ``max t_k`` subject to the order, sum-of-delays and
 resolved FIFO constraints over an extracted sub-graph. This module exposes
 
-* :func:`solve_lp` — the production path, delegating to scipy's HiGHS
-  implementation (fast, robust);
+* :func:`solve_lp` — the production path, handing HiGHS (dual simplex,
+  presolve on) the split model ``linprog`` builds, through scipy's
+  lighter public front end :func:`scipy.optimize.milp`;
 * :func:`solve_lp_simplex` — a from-scratch dense Big-M simplex used as an
   independent cross-check in tests and the solver ablation bench.
 """
@@ -62,9 +63,9 @@ class LinearProgram:
 
     def with_objective(self, c) -> "LinearProgram":
         """The same feasible region under objective ``c``. The copy shares
-        :attr:`linprog_form`, so a region solved under many objectives is
+        :attr:`highs_form`, so a region solved under many objectives is
         split once."""
-        self.linprog_form  # split before copying, so the copies share it
+        self.highs_form  # split before copying, so the copies share it
         other = copy.copy(self)
         other.c = np.asarray(c, dtype=float).ravel()
         if other.c.shape != self.c.shape:
@@ -75,35 +76,39 @@ class LinearProgram:
         return other
 
     @cached_property
-    def linprog_form(self) -> dict:
-        """The feasible region as ``linprog`` keyword arguments: the rows
-        ``row_lower <= A x <= row_upper`` split into ``A_ub x <= b_ub``
-        (finite upper sides, then negated finite lower sides) and
-        ``A_eq x == b_eq``; the variable bounds as an ``(n, 2)`` array,
-        whose infinite sides linprog reads as it reads ``None``."""
+    def highs_form(self) -> tuple:
+        """The feasible region as ``milp`` takes it: ``(Bounds,
+        LinearConstraint)``, in the model ``linprog`` builds. Its rows are
+        those with a finite upper side, then the negated rows with a finite
+        lower side (lower side ``-inf``), then the equality rows, as one CSC
+        matrix; rows unbounded on both sides are left out and the variable
+        box is unchanged. HiGHS solves the ranged rows in their native
+        form differently enough to move some bounds, so the split stays."""
+        from scipy.optimize import Bounds, LinearConstraint
+
         eq_mask = self.row_lower == self.row_upper
-        A = self.A
-        up_mask = ~eq_mask & np.isfinite(self.row_upper)
-        lo_mask = ~eq_mask & np.isfinite(self.row_lower)
-        blocks = []
-        rhs_parts = []
-        if np.any(up_mask):
-            blocks.append(A[up_mask])
-            rhs_parts.append(self.row_upper[up_mask])
-        if np.any(lo_mask):
-            blocks.append(-A[lo_mask])
-            rhs_parts.append(-self.row_lower[lo_mask])
-        eq_idx = np.nonzero(eq_mask)[0]
-        return {
-            "A_ub": sp.vstack(blocks, format="csr") if blocks else None,
-            "b_ub": np.concatenate(rhs_parts) if rhs_parts else None,
-            "A_eq": A[eq_idx] if eq_idx.size else None,
-            "b_eq": self.row_lower[eq_idx] if eq_idx.size else None,
-            "bounds": np.column_stack((self.x_lower, self.x_upper)),
-        }
+        up = np.flatnonzero(~eq_mask & np.isfinite(self.row_upper))
+        lo = np.flatnonzero(~eq_mask & np.isfinite(self.row_lower))
+        eq = np.flatnonzero(eq_mask)
+        split = self.A[np.concatenate((up, lo, eq))]
+        first, last = split.indptr[[len(up), len(up) + len(lo)]]
+        split.data[first:last] *= -1
+        split = split.tocsc()
+        split.sum_duplicates()  # as linprog's COO-to-CSC conversion does
+        rhs = np.concatenate(
+            (self.row_upper[up], -self.row_lower[lo], self.row_lower[eq])
+        )
+        lhs = np.concatenate(
+            (np.full(len(up) + len(lo), -INF), self.row_lower[eq])
+        )
+        return (
+            Bounds(self.x_lower, self.x_upper),
+            LinearConstraint(split, lhs, rhs),
+        )
 
 
-_LINPROG_STATUS = {
+#: scipy's status codes of a HiGHS run (``linprog`` and ``milp`` alike).
+_SCIPY_STATUS = {
     0: SolverStatus.OPTIMAL,
     1: SolverStatus.ITERATION_LIMIT,
     2: SolverStatus.INFEASIBLE,
@@ -111,22 +116,50 @@ _LINPROG_STATUS = {
     4: SolverStatus.NUMERICAL_ERROR,
 }
 
+#: ``linprog``'s tolerance for accepting a HiGHS optimum (10 * sqrt(1e-9)).
+_ACCEPT_TOL = float(np.sqrt(1e-9) * 10)
+
+
+def _accepted(box, rows, x: np.ndarray, objective: float) -> bool:
+    """``linprog``'s check of an optimum HiGHS reports: no NaN, and the box
+    and rows met within :data:`_ACCEPT_TOL`. ``milp`` skips it, so it is
+    kept here; a point that fails it is a numerical error, as under
+    ``linprog``."""
+    if np.isnan(objective) or np.isnan(x).any():
+        return False
+    activity = rows.A @ x
+    return bool(
+        np.all(x >= box.lb - _ACCEPT_TOL)
+        and np.all(x <= box.ub + _ACCEPT_TOL)
+        and np.all(activity >= rows.lb - _ACCEPT_TOL)
+        and np.all(activity <= rows.ub + _ACCEPT_TOL)
+    )
+
 
 def solve_lp(problem: LinearProgram) -> SolverResult:
-    """Solve a :class:`LinearProgram` with scipy's HiGHS backend."""
-    from scipy.optimize import linprog  # loaded by the first LP (DESIGN §11)
+    """Solve a :class:`LinearProgram` with scipy's HiGHS backend.
+
+    ``milp`` reports no simplex iteration count, so ``iterations`` is 0.
+    """
+    from scipy.optimize import milp  # loaded by the first LP (DESIGN §11)
 
     started = time.perf_counter()
-    outcome = linprog(problem.c, **problem.linprog_form, method="highs")
-    status = _LINPROG_STATUS.get(outcome.status, SolverStatus.NUMERICAL_ERROR)
-    x = np.asarray(outcome.x) if outcome.x is not None else np.empty(0)
+    box, rows = problem.highs_form
+    outcome = milp(
+        problem.c, bounds=box, constraints=rows, options={"presolve": True}
+    )
+    status = _SCIPY_STATUS.get(outcome.status, SolverStatus.NUMERICAL_ERROR)
+    x = outcome.x if outcome.x is not None else np.empty(0)
+    if status is SolverStatus.OPTIMAL and not _accepted(
+        box, rows, x, outcome.fun
+    ):
+        status = SolverStatus.NUMERICAL_ERROR
     return record_solver_result(
         "lp",
         SolverResult(
             status=status,
             x=x,
             objective=float(outcome.fun) if status.is_usable else float("nan"),
-            iterations=int(getattr(outcome, "nit", 0) or 0),
             solve_time_s=time.perf_counter() - started,
             info={"message": outcome.message},
         ),

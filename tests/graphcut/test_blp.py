@@ -1,9 +1,13 @@
 """Tests for balanced label propagation refinement."""
 
 import numpy as np
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.graphcut.blp import refine_two_way
+from repro.graphcut.blp import _choose_move_counts, refine_two_way
 from repro.graphcut.graph import ConstraintGraph
+from repro.optim.lp import LinearProgram, solve_lp
 
 
 def _two_cliques(k=6, bridge_edges=1):
@@ -80,3 +84,110 @@ def test_input_set_not_mutated():
     original = set(left)
     refine_two_way(g, left)
     assert left == original
+
+
+def _lp_move_counts(
+    out_gains: list[int],
+    in_gains: list[int],
+    inside_size: int,
+    size_bounds: tuple[int, int],
+) -> tuple[int, int]:
+    """LP: how many top-gain moves to take in each direction.
+
+    maximize   sum of chosen gains
+    subject to size_lo <= inside_size - moves_out + moves_in <= size_hi
+
+    Each candidate is a [0, 1] variable with its gain as the objective;
+    sorted gains make the fractional optimum integral up to one split
+    candidate, which rounding toward feasibility handles.
+    """
+    n_out, n_in = len(out_gains), len(in_gains)
+    if n_out + n_in == 0:
+        return 0, 0
+    c = -np.array([float(g) for g in out_gains] + [float(g) for g in in_gains])
+    balance_row = np.concatenate([-np.ones(n_out), np.ones(n_in)])
+    lo, hi = size_bounds
+    problem = LinearProgram(
+        c=c,
+        A=sp.csr_matrix(balance_row.reshape(1, -1)),
+        row_lower=np.array([lo - inside_size], dtype=float),
+        row_upper=np.array([hi - inside_size], dtype=float),
+        x_lower=np.zeros(n_out + n_in),
+        x_upper=np.ones(n_out + n_in),
+    )
+    result = solve_lp(problem)
+    if not result.status.is_usable:
+        return 0, 0
+    z = result.x
+    moves_out = int(round(float(np.sum(z[:n_out]))))
+    moves_in = int(round(float(np.sum(z[n_out:]))))
+    # Re-impose the balance bounds after rounding.
+    while inside_size - moves_out + moves_in < lo and moves_out > 0:
+        moves_out -= 1
+    while inside_size - moves_out + moves_in > hi and moves_in > 0:
+        moves_in -= 1
+    return moves_out, moves_in
+
+
+def _optimal_pairs(out_gains, in_gains, inside_size, size_bounds):
+    """Brute force: (best total, optimal pairs in lexicographic order)
+    over every feasible pair of prefix counts; (None, []) if none is."""
+    lo, hi = size_bounds
+    best, pairs = None, []
+    for moves_out in range(len(out_gains) + 1):
+        for moves_in in range(len(in_gains) + 1):
+            if not lo <= inside_size - moves_out + moves_in <= hi:
+                continue
+            total = sum(out_gains[:moves_out]) + sum(in_gains[:moves_in])
+            if best is None or total > best:
+                best, pairs = total, [(moves_out, moves_in)]
+            elif total == best:
+                pairs.append((moves_out, moves_in))
+    return best, pairs
+
+
+#: gains as ``refine_two_way`` passes them: at least -1, sorted in
+#: decreasing order, with many zeros and repeats.
+_gains = st.lists(
+    st.one_of(st.sampled_from([-1, 0, 0, 1, 2]), st.integers(-1, 90)),
+    max_size=40,
+).map(lambda gains: sorted(gains, reverse=True))
+
+
+@settings(deadline=None)
+@given(
+    out_gains=_gains,
+    in_gains=_gains,
+    inside_size=st.integers(0, 80),
+    lo_offset=st.integers(-45, 45),
+    width=st.integers(-2, 20),
+)
+def test_move_counts_are_the_least_optimal_prefix_pair(
+    out_gains, in_gains, inside_size, lo_offset, width
+):
+    """The closed form against the LP it replaced and a brute force:
+    a feasible pair at the LP's optimum, the lexicographically smallest
+    optimal one, and (0, 0) exactly when no pair is feasible."""
+    bounds = (inside_size + lo_offset, inside_size + lo_offset + width)
+    moves_out, moves_in = _choose_move_counts(
+        out_gains, in_gains, inside_size, bounds
+    )
+    best, pairs = _optimal_pairs(out_gains, in_gains, inside_size, bounds)
+    ref_out, ref_in = _lp_move_counts(out_gains, in_gains, inside_size, bounds)
+    if not pairs:
+        assert (moves_out, moves_in) == (ref_out, ref_in) == (0, 0)
+        return
+    assert bounds[0] <= inside_size - moves_out + moves_in <= bounds[1]
+    total = sum(out_gains[:moves_out]) + sum(in_gains[:moves_in])
+    assert total == sum(out_gains[:ref_out]) + sum(in_gains[:ref_in]) == best
+    assert (moves_out, moves_in) == pairs[0]
+
+
+def test_move_counts_pin_the_tie_rule():
+    """A Fig. 10 sweep instance with tied optima: (6, 6) ties (6, 4), and
+    the fewer in-moves win."""
+    out_gains = [72, 71, 57, 51, 38, 14, -1]
+    in_gains = [10, 8, 3, 1, 0, 0]
+    _, pairs = _optimal_pairs(out_gains, in_gains, 60, (54, 66))
+    assert (6, 6) in pairs
+    assert _choose_move_counts(out_gains, in_gains, 60, (54, 66)) == (6, 4)

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bounds import BoundComputer
+from repro.core.constraints import build_constraints
+from repro.core.pipeline import constraint_config_for
+from repro.core.records import TraceIndex
+from repro.core.validation import validate_packets
 from repro.graphcut.graph import ConstraintGraph
+
+from tests.core.test_golden_systems import TRACES
 
 
 def _path_graph(n):
@@ -111,3 +118,80 @@ def test_cut_weight_symmetry(edges, inside_bits):
     inside = {v for v in vertices if inside_bits >> v & 1}
     outside = vertices - inside
     assert g.cut_weight(inside) == g.cut_weight(outside)
+
+
+def _reference_add_clique(graph, vertices):
+    """``add_clique`` as it was before its one-pass form: one
+    ``add_vertex``/``add_edge`` call per vertex and pair."""
+    items = list(dict.fromkeys(vertices))
+    for i, a in enumerate(items):
+        graph.add_vertex(a)
+        for b in items[i + 1:]:
+            graph.add_edge(a, b)
+
+
+def _graphs(vertices, rows):
+    """The graph over ``vertices`` plus a clique per row, built with
+    ``add_clique`` and with the reference."""
+    graph, reference = ConstraintGraph(), ConstraintGraph()
+    for vertex in vertices:
+        graph.add_vertex(vertex)
+        reference.add_vertex(vertex)
+    for row in rows:
+        graph.add_clique(row)
+        _reference_add_clique(reference, row)
+    return graph, reference
+
+
+def _assert_same_graph(graph, reference):
+    """Same vertex order, neighbor order, weights and BFS balls."""
+    assert graph.vertices() == reference.vertices()
+    for vertex in reference.vertices():
+        assert list(graph.neighbors(vertex).items()) == list(
+            reference.neighbors(vertex).items()
+        )
+        for size in (1, 3, 12, 40, reference.num_vertices):
+            assert graph.bfs_ball(vertex, size) == reference.bfs_ball(
+                vertex, size
+            )
+
+
+def _lossy_bound_system():
+    """The lossy golden-system trace's system, built as
+    ``DomoReconstructor.bounds`` builds it."""
+    trace, config = TRACES["lossy"]()
+    packets, report = validate_packets(list(trace.received), config.validation)
+    return build_constraints(
+        TraceIndex(packets, omega_ms=config.omega_ms),
+        constraint_config_for(config, report),
+    )
+
+
+def test_add_clique_builds_the_reference_graph_of_a_bound_system():
+    system = _lossy_bound_system()
+    computer = BoundComputer(system)
+    A, _, _ = system.builder.build(num_variables=system.num_unknowns)
+    rows = [
+        A.indices[start:stop].tolist()
+        for start, stop in zip(A.indptr[:-1], A.indptr[1:])
+    ]
+    graph, reference = _graphs(range(system.num_unknowns), rows)
+    assert reference.num_edges > reference.num_vertices
+    _assert_same_graph(graph, reference)
+    _assert_same_graph(computer.graph, reference)
+
+
+def test_add_clique_builds_the_reference_graph_of_hand_made_rows():
+    """Repeated columns within a row, one-term rows, an empty row, and
+    vertices first seen in a clique."""
+    rows = [
+        [3, 1, 3, 2],
+        [5],
+        [],
+        [2, 7, 1, 7, 7],
+        ["a", 1, "a"],
+        [9, 5],
+        [1, 2, 3, 5],
+        [4],
+    ]
+    _assert_same_graph(*_graphs([0, 1, 2, 3], rows))

@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from repro.optim.lp import LinearProgram, solve_lp, solve_lp_simplex
+from repro.optim.lp import (
+    LinearProgram,
+    _accepted,
+    solve_lp,
+    solve_lp_simplex,
+)
 from repro.optim.result import SolverStatus
 
 INF = float("inf")
@@ -196,3 +202,133 @@ def test_simplex_keeps_a_variable_fixed_at_a_nonzero_level(sign):
     assert result.status is SolverStatus.OPTIMAL
     assert result.objective == pytest.approx(sign, abs=1e-9)
     assert result.x[1] == pytest.approx(1.0, abs=1e-9)
+
+
+def _linprog_form(problem: LinearProgram) -> dict:
+    """The feasible region as ``linprog`` keyword arguments: the rows
+    ``row_lower <= A x <= row_upper`` split into ``A_ub x <= b_ub``
+    (finite upper sides, then negated finite lower sides) and
+    ``A_eq x == b_eq``; the variable bounds as an ``(n, 2)`` array,
+    whose infinite sides linprog reads as it reads ``None``."""
+    eq_mask = problem.row_lower == problem.row_upper
+    A = problem.A
+    up_mask = ~eq_mask & np.isfinite(problem.row_upper)
+    lo_mask = ~eq_mask & np.isfinite(problem.row_lower)
+    blocks = []
+    rhs_parts = []
+    if np.any(up_mask):
+        blocks.append(A[up_mask])
+        rhs_parts.append(problem.row_upper[up_mask])
+    if np.any(lo_mask):
+        blocks.append(-A[lo_mask])
+        rhs_parts.append(-problem.row_lower[lo_mask])
+    eq_idx = np.nonzero(eq_mask)[0]
+    return {
+        "A_ub": sp.vstack(blocks, format="csr") if blocks else None,
+        "b_ub": np.concatenate(rhs_parts) if rhs_parts else None,
+        "A_eq": A[eq_idx] if eq_idx.size else None,
+        "b_eq": problem.row_lower[eq_idx] if eq_idx.size else None,
+        "bounds": np.column_stack((problem.x_lower, problem.x_upper)),
+    }
+
+
+_LINPROG_STATUS = {
+    0: SolverStatus.OPTIMAL,
+    1: SolverStatus.ITERATION_LIMIT,
+    2: SolverStatus.INFEASIBLE,
+    3: SolverStatus.UNBOUNDED,
+    4: SolverStatus.NUMERICAL_ERROR,
+}
+
+_sides = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+ROW_KINDS = ["upper", "lower", "ranged", "eq", "free"]
+
+
+@st.composite
+def _mixed_row_lps(draw):
+    """Small LPs whose rows mix finite-upper, finite-lower, ranged,
+    equality and doubly-infinite sides, over a box that may be open."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 6))
+    coefficient = st.one_of(
+        st.sampled_from([0.0, 1.0, -1.0]),
+        st.floats(-3.0, 3.0, allow_nan=False),
+    )
+    A = [[draw(coefficient) for _ in range(n)] for _ in range(m)]
+    row_lower, row_upper = [], []
+    for _ in range(m):
+        kind = draw(st.sampled_from(ROW_KINDS))
+        a, b = sorted((draw(_sides), draw(_sides)))
+        if kind == "eq":
+            a = b
+        row_lower.append(a if kind in ("lower", "ranged", "eq") else -INF)
+        row_upper.append(b if kind in ("upper", "ranged", "eq") else INF)
+    x_lower, x_upper = [], []
+    for _ in range(n):
+        a, b = sorted((draw(_sides), draw(_sides)))
+        x_lower.append(draw(st.sampled_from([a, -INF])))
+        x_upper.append(draw(st.sampled_from([b, INF])))
+    c = [draw(st.floats(-3.0, 3.0, allow_nan=False)) for _ in range(n)]
+    A = np.array(A, dtype=float).reshape(m, n)
+    return _lp(c, A, row_lower, row_upper, x_lower, x_upper)
+
+
+@settings(deadline=None)
+@given(problem=_mixed_row_lps())
+# row-free
+@example(_lp([1.0, -1.0], np.zeros((0, 2)), [], [], [0.0, -1.0], [2.0, 3.0]))
+# infeasible
+@example(_lp([1.0], [[1.0], [1.0]], [2.0, -INF], [INF, 1.0]))
+# unbounded
+@example(_lp([-1.0, 0.0], [[1.0, -1.0]], [0.0], [INF], [0.0, 0.0]))
+# repeated columns within a row, out of order, and an explicit zero
+@example(
+    LinearProgram(
+        c=np.array([1.0, -1.0]),
+        A=sp.csr_matrix(
+            (
+                np.array([1.0, 0.5, 2.0, -1.0, 0.25, 0.0]),
+                np.array([0, 1, 0, 1, 1, 0]),
+                np.array([0, 3, 6]),
+            ),
+            shape=(2, 2),
+        ),
+        row_lower=np.array([-1.0, -INF]),
+        row_upper=np.array([4.0, 2.0]),
+        x_lower=np.array([-3.0, -3.0]),
+        x_upper=np.array([3.0, 3.0]),
+    )
+)
+def test_solve_lp_matches_linprog_on_the_split_form(problem):
+    """HiGHS gets the model ``linprog`` built from the split form: the
+    same status, objective bits and solution. Row-free, infeasible and
+    unbounded problems are among the examples."""
+    reference = linprog(problem.c, **_linprog_form(problem), method="highs")
+    result = solve_lp(problem)
+    assert result.status is _LINPROG_STATUS[reference.status]
+    if result.status.is_usable:
+        assert result.objective.hex() == float(reference.fun).hex()
+        assert np.array_equal(result.x, reference.x)
+    else:
+        assert reference.x is None and result.x.size == 0
+
+
+def test_an_optimum_off_its_box_or_rows_is_refused():
+    """``linprog``'s check of a HiGHS optimum, which ``milp`` does not
+    make: NaN, or a box side or row missed by more than 10 * sqrt(1e-9),
+    refuses the point."""
+    # x0 + x1 == 1, x0 - x1 >= 0, 0 <= x <= 2.
+    problem = _lp(
+        [1.0, 1.0],
+        [[1.0, 1.0], [1.0, -1.0]],
+        [1.0, 0.0],
+        [1.0, INF],
+        x_lower=[0.0, 0.0],
+        x_upper=[2.0, 2.0],
+    )
+    box, rows = problem.highs_form
+    assert _accepted(box, rows, np.array([0.5, 0.5]), 1.0)
+    assert _accepted(box, rows, np.array([0.5 + 1e-4, 0.5]), 1.0)
+    assert not _accepted(box, rows, np.array([0.5 + 1e-3, 0.5]), 1.0)
+    assert not _accepted(box, rows, np.array([1.0 + 1e-3, -1e-3]), 1.0)
+    assert not _accepted(box, rows, np.array([0.5, 0.5]), float("nan"))

@@ -77,3 +77,17 @@ def test_bounds_load_the_lp_stack():
         SMALL_TRACE + "domo.bounds(trace, [trace.received[0].packet_id])\n"
     )
     assert "scipy.optimize" in loaded
+
+
+def test_sub_graph_extraction_loads_no_lp_stack(baseline):
+    """BLP takes its move counts in closed form: extracting sub-graphs
+    below the graph's size solves no LP."""
+    loaded = _heavy_loaded_after(
+        "from repro.graphcut import ConstraintGraph, SubgraphExtractor\n"
+        "graph = ConstraintGraph()\n"
+        "for i in range(60):\n"
+        "    graph.add_clique([i, (i + 1) % 60, (i + 7) % 60])\n"
+        "extractor = SubgraphExtractor(graph, cut_size=20)\n"
+        "assert all(extractor.extract(v).blp.rounds for v in range(60))\n"
+    )
+    assert "scipy.optimize" not in loaded - baseline
