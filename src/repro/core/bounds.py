@@ -224,8 +224,7 @@ class BoundComputer:
             if target in results:
                 continue
             extracted = self._extractor.extract(column)
-            core = set(self.graph.bfs_ball(column, core_size))
-            core &= extracted.inside
+            core = set(extracted.ball[:core_size]) & extracted.inside
             batch = [
                 key
                 for key, at in zip(wanted, columns)

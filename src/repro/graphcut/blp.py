@@ -37,8 +37,9 @@ class BlpResult:
 
 def _relocation_gains(
     graph: ConstraintGraph, inside: set, frozen: set
-) -> tuple[list[tuple[int, Hashable]], list[tuple[int, Hashable]]]:
-    """Per-direction candidate moves sorted by decreasing gain.
+) -> tuple[list[tuple[int, Hashable]], list[tuple[int, Hashable]], int]:
+    """Per-direction candidate moves sorted by decreasing gain, and the
+    cut weight of ``inside``.
 
     Only vertices on the boundary (with at least one cross edge) are
     candidates; interior vertices can never improve the cut by moving.
@@ -46,10 +47,13 @@ def _relocation_gains(
     found in: ``inside``'s iteration order for out-moves and
     ``boundary_outside``'s for in-moves, which depends on the order its
     members were added (one ``add`` per cross edge, in neighbor order).
+    The cut is the sum of every inside vertex's cross weight, frozen
+    vertices included.
     """
     out_moves: list[tuple[int, Hashable]] = []  # inside -> outside
     in_moves: list[tuple[int, Hashable]] = []  # outside -> inside
     boundary_outside: set = set()
+    cut = 0
     for vertex in inside:
         stay = cross = 0
         for neighbor, weight in graph.neighbors(vertex).items():
@@ -58,6 +62,7 @@ def _relocation_gains(
             else:
                 cross += weight
                 boundary_outside.add(neighbor)
+        cut += cross
         if cross > 0 and vertex not in frozen:
             out_moves.append((cross - stay, vertex))
     for vertex in boundary_outside:
@@ -72,7 +77,7 @@ def _relocation_gains(
         in_moves.append((cross - stay, vertex))
     out_moves.sort(key=lambda item: -item[0])
     in_moves.sort(key=lambda item: -item[0])
-    return out_moves, in_moves
+    return out_moves, in_moves, cut
 
 
 def _choose_move_counts(
@@ -137,12 +142,15 @@ def refine_two_way(
         slack = max(1, len(inside) // 10)
         size_bounds = (len(inside) - slack, len(inside) + slack)
 
-    initial_cut = graph.cut_weight(inside)
+    # One sweep gives a partition's gains and its cut, so a candidate's
+    # sweep both judges it and starts the next round.
+    out_moves, in_moves, initial_cut = _relocation_gains(
+        graph, inside, frozen
+    )
     cut = initial_cut
     total_moves = 0
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        out_moves, in_moves = _relocation_gains(graph, inside, frozen)
         # Only nonnegative-gain prefixes can help; keep a small negative
         # margin so paired swaps (one +2, one -1) remain possible.
         out_moves = [m for m in out_moves if m[0] > -2]
@@ -158,7 +166,9 @@ def refine_two_way(
         if not chosen_out and not chosen_in:
             break
         candidate = (inside - set(chosen_out)) | set(chosen_in)
-        new_cut = graph.cut_weight(candidate)
+        out_moves, in_moves, new_cut = _relocation_gains(
+            graph, candidate, frozen
+        )
         if new_cut >= cut:
             # Gains were computed against the pre-move partition; applying
             # many moves at once can interfere. Stop at a local optimum.

@@ -9,7 +9,7 @@ plus the boundary's trivial intervals is what the bound LPs are built on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable
 
 from repro.graphcut.blp import BlpResult, refine_two_way
@@ -24,6 +24,10 @@ class ExtractedSubgraph:
     inside: set
     cut_edges: int
     blp: BlpResult | None
+    #: the BFS ball of the cut size around the target, in BFS order
+    #: (empty when the sub-graph is the whole graph); a smaller ball
+    #: around the target is a prefix of it.
+    ball: list = field(default_factory=list)
 
     @property
     def size(self) -> int:
@@ -67,22 +71,23 @@ class SubgraphExtractor:
                 target=target, inside=inside, cut_edges=0, blp=None
             )
 
-        seed = set(graph.bfs_ball(target, self._cut_size))
+        ball = graph.bfs_ball(target, self._cut_size)
+        seed = set(ball)
         if not self._use_blp:
             return ExtractedSubgraph(
                 target=target,
                 inside=seed,
                 cut_edges=graph.cut_weight(seed),
                 blp=None,
+                ball=ball,
             )
         # The target and its BFS-closest tenth of the cut stay inside,
         # keeping the boundary away from the vertex being optimized.
         protected = max(1, self._cut_size // 10)
-        frozen = set(graph.bfs_ball(target, protected))
         result = refine_two_way(
             graph,
             seed,
-            frozen=frozen,
+            frozen=set(ball[:protected]),
             max_rounds=BLP_ROUNDS,
         )
         return ExtractedSubgraph(
@@ -90,4 +95,5 @@ class SubgraphExtractor:
             inside=result.inside,
             cut_edges=result.final_cut,
             blp=result,
+            ball=ball,
         )

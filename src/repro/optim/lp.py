@@ -1,12 +1,12 @@
-"""Linear programs: HiGHS (scipy) front end plus a self-contained simplex.
+"""Linear programs: HiGHS via scipy's bindings, plus a from-scratch simplex.
 
 Domo's bound computation (paper §IV.C) solves two LPs per unknown arrival
 time: ``min t_k`` and ``max t_k`` subject to the order, sum-of-delays and
 resolved FIFO constraints over an extracted sub-graph. This module exposes
 
-* :func:`solve_lp` — the production path, handing HiGHS (dual simplex,
-  presolve on) the split model ``linprog`` builds, through scipy's
-  lighter public front end :func:`scipy.optimize.milp`;
+* :func:`solve_lp` — the production path: HiGHS (dual simplex, presolve
+  on) on the split model ``linprog`` builds, one HiGHS instance per
+  feasible region, through the bindings scipy's own ``milp`` uses;
 * :func:`solve_lp_simplex` — a from-scratch dense Big-M simplex used as an
   independent cross-check in tests and the solver ablation bench.
 """
@@ -64,7 +64,7 @@ class LinearProgram:
     def with_objective(self, c) -> "LinearProgram":
         """The same feasible region under objective ``c``. The copy shares
         :attr:`highs_form`, so a region solved under many objectives is
-        split once."""
+        split once and solved on one HiGHS instance."""
         self.highs_form  # split before copying, so the copies share it
         other = copy.copy(self)
         other.c = np.asarray(c, dtype=float).ravel()
@@ -76,16 +76,14 @@ class LinearProgram:
         return other
 
     @cached_property
-    def highs_form(self) -> tuple:
-        """The feasible region as ``milp`` takes it: ``(Bounds,
-        LinearConstraint)``, in the model ``linprog`` builds. Its rows are
-        those with a finite upper side, then the negated rows with a finite
-        lower side (lower side ``-inf``), then the equality rows, as one CSC
-        matrix; rows unbounded on both sides are left out and the variable
-        box is unchanged. HiGHS solves the ranged rows in their native
-        form differently enough to move some bounds, so the split stays."""
-        from scipy.optimize import Bounds, LinearConstraint
-
+    def highs_form(self) -> "HighsModel":
+        """The feasible region in the model ``linprog`` builds. Its rows
+        are those with a finite upper side, then the negated rows with a
+        finite lower side (lower side ``-inf``), then the equality rows,
+        as one CSC matrix; rows unbounded on both sides are left out and
+        the variable box is unchanged. HiGHS solves the ranged rows in
+        their native form differently enough to move some bounds, so the
+        split stays."""
         eq_mask = self.row_lower == self.row_upper
         up = np.flatnonzero(~eq_mask & np.isfinite(self.row_upper))
         lo = np.flatnonzero(~eq_mask & np.isfinite(self.row_lower))
@@ -101,67 +99,154 @@ class LinearProgram:
         lhs = np.concatenate(
             (np.full(len(up) + len(lo), -INF), self.row_lower[eq])
         )
-        return (
-            Bounds(self.x_lower, self.x_upper),
-            LinearConstraint(split, lhs, rhs),
-        )
+        return HighsModel(split, lhs, rhs, self.x_lower, self.x_upper)
 
 
-#: scipy's status codes of a HiGHS run (``linprog`` and ``milp`` alike).
-_SCIPY_STATUS = {
-    0: SolverStatus.OPTIMAL,
-    1: SolverStatus.ITERATION_LIMIT,
-    2: SolverStatus.INFEASIBLE,
-    3: SolverStatus.UNBOUNDED,
-    4: SolverStatus.NUMERICAL_ERROR,
+class HighsModel:
+    """A feasible region as HiGHS takes it, and the one HiGHS instance
+    :func:`solve_lp` solves it on under every objective.
+
+    ``lhs <= A x <= rhs`` and ``lb <= x <= ub``, with ``A`` in CSC form:
+    the arrays ``milp`` would hand HiGHS for this region.
+    """
+
+    def __init__(self, A: sp.csc_matrix, lhs, rhs, lb, ub) -> None:
+        self.A = A
+        self.lhs = lhs
+        self.rhs = rhs
+        self.lb = lb
+        self.ub = ub
+        #: the HiGHS instance and the model handed to it, both made by
+        #: :meth:`load` on the region's first solve.
+        self.highs = None
+        self.lp = None
+
+    def load(self) -> None:
+        """Make the region's HiGHS instance, set up as ``milp`` sets one
+        up (console log off, presolve on), and its model: these arrays,
+        every column continuous, the objective set by each solve.
+
+        The bindings are scipy's private ``scipy.optimize._highspy._core``,
+        which scipy's own ``milp`` and ``linprog`` use since scipy 1.15.
+        This is the one place the package imports them; importing them
+        loads ``scipy.optimize`` (DESIGN §11).
+        """
+        try:
+            from scipy.optimize._highspy._core import (
+                HighsLp,
+                HighsOptions,
+                HighsVarType,
+                MatrixFormat,
+                _Highs,
+            )
+        except ImportError as exc:
+            import scipy
+
+            raise ImportError(
+                "solve_lp needs scipy >= 1.15, whose "
+                "scipy.optimize._highspy._core holds the HiGHS bindings it "
+                f"uses; scipy {scipy.__version__} is installed ({exc})"
+            ) from exc
+        num_rows, num_cols = self.A.shape
+        lp = HighsLp()
+        lp.num_col_ = num_cols
+        lp.num_row_ = num_rows
+        lp.a_matrix_.num_col_ = num_cols
+        lp.a_matrix_.num_row_ = num_rows
+        lp.a_matrix_.format_ = MatrixFormat.kColwise
+        lp.col_lower_ = self.lb
+        lp.col_upper_ = self.ub
+        lp.row_lower_ = self.lhs
+        lp.row_upper_ = self.rhs
+        lp.a_matrix_.start_ = self.A.indptr
+        lp.a_matrix_.index_ = self.A.indices
+        lp.a_matrix_.value_ = self.A.data
+        lp.integrality_ = [HighsVarType.kContinuous] * num_cols
+        options = HighsOptions()
+        options.log_to_console = False
+        options.presolve = "on"
+        highs = _Highs()
+        highs.passOptions(options)
+        self.highs = highs
+        self.lp = lp
+
+
+#: ``milp``'s reading of a HiGHS model status: scipy's table in
+#: ``_highs_to_scipy_status_message``, then scipy's status codes 0-4 as
+#: solver statuses. Every other model status is a numerical error.
+_HIGHS_STATUS = {
+    "kOptimal": SolverStatus.OPTIMAL,
+    "kTimeLimit": SolverStatus.ITERATION_LIMIT,
+    "kIterationLimit": SolverStatus.ITERATION_LIMIT,
+    "kModelError": SolverStatus.INFEASIBLE,
+    "kInfeasible": SolverStatus.INFEASIBLE,
+    "kUnbounded": SolverStatus.UNBOUNDED,
 }
 
 #: ``linprog``'s tolerance for accepting a HiGHS optimum (10 * sqrt(1e-9)).
 _ACCEPT_TOL = float(np.sqrt(1e-9) * 10)
 
 
-def _accepted(box, rows, x: np.ndarray, objective: float) -> bool:
+def _accepted(form: HighsModel, x: np.ndarray, objective: float) -> bool:
     """``linprog``'s check of an optimum HiGHS reports: no NaN, and the box
     and rows met within :data:`_ACCEPT_TOL`. ``milp`` skips it, so it is
     kept here; a point that fails it is a numerical error, as under
     ``linprog``."""
     if np.isnan(objective) or np.isnan(x).any():
         return False
-    activity = rows.A @ x
+    activity = form.A @ x
     return bool(
-        np.all(x >= box.lb - _ACCEPT_TOL)
-        and np.all(x <= box.ub + _ACCEPT_TOL)
-        and np.all(activity >= rows.lb - _ACCEPT_TOL)
-        and np.all(activity <= rows.ub + _ACCEPT_TOL)
+        np.all(x >= form.lb - _ACCEPT_TOL)
+        and np.all(x <= form.ub + _ACCEPT_TOL)
+        and np.all(activity >= form.lhs - _ACCEPT_TOL)
+        and np.all(activity <= form.rhs + _ACCEPT_TOL)
     )
 
 
 def solve_lp(problem: LinearProgram) -> SolverResult:
-    """Solve a :class:`LinearProgram` with scipy's HiGHS backend.
+    """Solve a :class:`LinearProgram` with HiGHS, as ``milp`` would.
 
-    ``milp`` reports no simplex iteration count, so ``iterations`` is 0.
+    The region's HiGHS instance (:attr:`LinearProgram.highs_form`) is made
+    on its first solve. Each solve hands it the model again under the new
+    objective, which clears what an earlier run left: its basis, and the
+    scaling HiGHS chose, which ``clearSolver()`` would keep. A run thus
+    ends where a new instance's would, bit for bit; a warm start can end
+    at another optimal vertex.
     """
-    from scipy.optimize import milp  # loaded by the first LP (DESIGN §11)
-
     started = time.perf_counter()
-    box, rows = problem.highs_form
-    outcome = milp(
-        problem.c, bounds=box, constraints=rows, options={"presolve": True}
-    )
-    status = _SCIPY_STATUS.get(outcome.status, SolverStatus.NUMERICAL_ERROR)
-    x = outcome.x if outcome.x is not None else np.empty(0)
-    if status is SolverStatus.OPTIMAL and not _accepted(
-        box, rows, x, outcome.fun
-    ):
-        status = SolverStatus.NUMERICAL_ERROR
+    if problem.c.size == 0 or not np.all(np.isfinite(problem.c)):
+        raise ValueError("the objective needs at least one entry, all finite")
+    form = problem.highs_form
+    if form.highs is None:
+        form.load()
+    highs = form.highs
+    form.lp.col_cost_ = problem.c
+    x = np.empty(0)
+    objective = float("nan")
+    iterations = 0
+    if highs.passModel(form.lp).name == "kError":
+        model_status = "kModelError"  # milp's reading of a refused model
+    else:
+        highs.run()
+        model_status = highs.getModelStatus().name
+        info = highs.getInfo()
+        iterations = info.simplex_iteration_count
+    status = _HIGHS_STATUS.get(model_status, SolverStatus.NUMERICAL_ERROR)
+    if status is SolverStatus.OPTIMAL:
+        x = np.array(highs.getSolution().col_value)
+        if _accepted(form, x, info.objective_function_value):
+            objective = float(info.objective_function_value)
+        else:
+            status = SolverStatus.NUMERICAL_ERROR
     return record_solver_result(
         "lp",
         SolverResult(
             status=status,
             x=x,
-            objective=float(outcome.fun) if status.is_usable else float("nan"),
+            objective=objective,
+            iterations=iterations,
             solve_time_s=time.perf_counter() - started,
-            info={"message": outcome.message},
+            info={"message": f"HiGHS model status {model_status}"},
         ),
     )
 

@@ -3,7 +3,8 @@
 ``--hypothesis-profile=ci`` raises the example budget tenfold. Property
 tests that size themselves from ``settings.default.max_examples`` scale
 with it; CI runs the window-build parity test, the BLP move-count
-oracle and the LP front-end identity test under it.
+oracle and the LP front-end identity tests (against ``linprog``, and
+one instance per region against a fresh ``milp`` call) under it.
 """
 
 from hypothesis import settings

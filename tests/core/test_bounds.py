@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core import bounds
 from repro.core.bounds import BoundComputer, BoundsConfig
 from repro.core.constraints import ConstraintConfig, build_constraints
 from repro.core.records import ArrivalKey, TraceIndex
+from repro.obs.registry import isolated_registry
 from repro.sim import NetworkConfig, simulate_network
 from repro.sim.packet import PacketId
 
@@ -111,3 +113,26 @@ def test_stats_accumulate(sim_setup):
     computer = BoundComputer(system, BoundsConfig(graph_cut_size=10_000))
     computer.bounds_for_all(list(system.variables)[:5])
     assert sum(computer.stats.values()) == 5
+
+
+def test_bound_lps_report_their_simplex_iterations(sim_setup, monkeypatch):
+    """HiGHS's simplex iteration count reaches ``SolverResult.iterations``,
+    and ``lp.iterations`` observes every nonzero one."""
+    _, system = sim_setup
+    solve = bounds.solve_lp
+    results = []
+
+    def recording(problem):
+        result = solve(problem)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(bounds, "solve_lp", recording)
+    computer = BoundComputer(system, BoundsConfig(graph_cut_size=10_000))
+    with isolated_registry() as registry:
+        computer.bounds_for_all(list(system.variables)[:5])
+    counted = [r.iterations for r in results if r.iterations]
+    assert len(results) == 10 and counted
+    observed = registry.snapshot()["histograms"]["lp.iterations"]
+    assert observed["count"] == len(counted)
+    assert observed["sum"] == sum(counted)

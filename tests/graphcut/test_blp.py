@@ -5,7 +5,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphcut.blp import _choose_move_counts, refine_two_way
+from repro.graphcut.blp import (
+    BlpResult,
+    _choose_move_counts,
+    _relocation_gains,
+    refine_two_way,
+)
 from repro.graphcut.graph import ConstraintGraph
 from repro.optim.lp import LinearProgram, solve_lp
 
@@ -191,3 +196,77 @@ def test_move_counts_pin_the_tie_rule():
     _, pairs = _optimal_pairs(out_gains, in_gains, 60, (54, 66))
     assert (6, 6) in pairs
     assert _choose_move_counts(out_gains, in_gains, 60, (54, 66)) == (6, 4)
+
+
+def _refine_by_cut_weight(
+    graph, inside, size_bounds=None, frozen=None, max_rounds=20
+):
+    """``refine_two_way`` as it was before a candidate's sweep judged it:
+    ``cut_weight`` before the first round and on every candidate."""
+    inside = set(inside)
+    frozen = frozen or set()
+    if size_bounds is None:
+        slack = max(1, len(inside) // 10)
+        size_bounds = (len(inside) - slack, len(inside) + slack)
+
+    initial_cut = graph.cut_weight(inside)
+    cut = initial_cut
+    total_moves = 0
+    rounds = 0
+    for rounds in range(1, max_rounds + 1):
+        out_moves, in_moves, _ = _relocation_gains(graph, inside, frozen)
+        out_moves = [m for m in out_moves if m[0] > -2]
+        in_moves = [m for m in in_moves if m[0] > -2]
+        moves_out, moves_in = _choose_move_counts(
+            [g for g, _ in out_moves],
+            [g for g, _ in in_moves],
+            len(inside),
+            size_bounds,
+        )
+        chosen_out = [v for _, v in out_moves[:moves_out]]
+        chosen_in = [v for _, v in in_moves[:moves_in]]
+        if not chosen_out and not chosen_in:
+            break
+        candidate = (inside - set(chosen_out)) | set(chosen_in)
+        new_cut = graph.cut_weight(candidate)
+        if new_cut >= cut:
+            break
+        inside = candidate
+        cut = new_cut
+        total_moves += len(chosen_out) + len(chosen_in)
+    return BlpResult(
+        inside=inside,
+        initial_cut=initial_cut,
+        final_cut=cut,
+        rounds=rounds,
+        moves=total_moves,
+    )
+
+
+@settings(deadline=None)
+@given(
+    edges=st.lists(
+        st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=80
+    ),
+    inside_bits=st.integers(1, 2 ** 24 - 1),
+    frozen_bits=st.integers(0, 2 ** 24 - 1),
+    max_rounds=st.integers(1, 6),
+)
+def test_refine_matches_the_cut_weight_loop(
+    edges, inside_bits, frozen_bits, max_rounds
+):
+    """The cut a gain sweep sums is the one ``cut_weight`` gives, so the
+    refinement keeps its partition, cuts, rounds and moves."""
+    g = ConstraintGraph()
+    for v in range(24):
+        g.add_vertex(v)
+    for a, b in edges:
+        g.add_edge(a, b)
+    inside = {v for v in range(24) if inside_bits >> v & 1}
+    frozen = {v for v in inside if frozen_bits >> v & 1}
+    _, _, cut = _relocation_gains(g, inside, frozen)
+    assert cut == g.cut_weight(inside)
+    result = refine_two_way(g, inside, frozen=frozen, max_rounds=max_rounds)
+    assert result == _refine_by_cut_weight(
+        g, inside, frozen=frozen, max_rounds=max_rounds
+    )

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.graphcut.extraction import SubgraphExtractor
+from repro.core.bounds import BoundComputer
+from repro.graphcut.extraction import BLP_ROUNDS, SubgraphExtractor
 from repro.graphcut.graph import ConstraintGraph
+
+from tests.graphcut.test_blp import _refine_by_cut_weight
+from tests.graphcut.test_graph import _lossy_bound_system
 
 
 def _grid_graph(width, height):
@@ -87,3 +91,26 @@ def test_larger_cut_sizes_include_smaller_balls():
     small = SubgraphExtractor(g, cut_size=20, use_blp=False).extract(target)
     large = SubgraphExtractor(g, cut_size=120, use_blp=False).extract(target)
     assert small.inside <= large.inside
+
+
+@pytest.mark.parametrize("cut_size", [12, 40])
+def test_extractions_match_one_bfs_per_ball(cut_size):
+    """On the lossy golden trace's graph, every extraction equals the one
+    made with a BFS per ball (the cut size, then a tenth of it for the
+    frozen set) and a BLP judging each candidate with ``cut_weight``."""
+    graph = BoundComputer(_lossy_bound_system()).graph
+    assert graph.num_vertices > cut_size
+    extractor = SubgraphExtractor(graph, cut_size=cut_size)
+    for target in graph.vertices():
+        extracted = extractor.extract(target)
+        seed = graph.bfs_ball(target, cut_size)
+        reference = _refine_by_cut_weight(
+            graph,
+            set(seed),
+            frozen=set(graph.bfs_ball(target, max(1, cut_size // 10))),
+            max_rounds=BLP_ROUNDS,
+        )
+        assert extracted.ball == seed
+        assert extracted.blp == reference
+        assert extracted.inside == reference.inside
+        assert extracted.cut_edges == reference.final_cut

@@ -181,6 +181,17 @@ def test_add_clique_builds_the_reference_graph_of_a_bound_system():
     _assert_same_graph(computer.graph, reference)
 
 
+def test_a_smaller_bfs_ball_is_a_prefix_of_a_larger_one():
+    """Extraction slices its frozen set and the batching core from the
+    cut-size ball, so each smaller ball must be that ball's prefix."""
+    graph = BoundComputer(_lossy_bound_system()).graph
+    for vertex in graph.vertices():
+        for large in (40, graph.num_vertices):
+            ball = graph.bfs_ball(vertex, large)
+            for small in (1, 4, 10, 25, large):
+                assert graph.bfs_ball(vertex, small) == ball[:small]
+
+
 def test_add_clique_builds_the_reference_graph_of_hand_made_rows():
     """Repeated columns within a row, one-term rows, an empty row, and
     vertices first seen in a clique."""

@@ -1,19 +1,25 @@
 """Tests for the LP front end (HiGHS) and the Big-M simplex fallback."""
 
+import sys
+import time
+import types
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
+from repro.obs.solver_telemetry import record_solver_result
 from repro.optim.lp import (
+    _HIGHS_STATUS,
     LinearProgram,
     _accepted,
     solve_lp,
     solve_lp_simplex,
 )
-from repro.optim.result import SolverStatus
+from repro.optim.result import SolverResult, SolverStatus
 
 INF = float("inf")
 
@@ -232,13 +238,51 @@ def _linprog_form(problem: LinearProgram) -> dict:
     }
 
 
-_LINPROG_STATUS = {
+#: scipy's status codes of a HiGHS run (``linprog`` and ``milp`` alike).
+_SCIPY_STATUS = {
     0: SolverStatus.OPTIMAL,
     1: SolverStatus.ITERATION_LIMIT,
     2: SolverStatus.INFEASIBLE,
     3: SolverStatus.UNBOUNDED,
     4: SolverStatus.NUMERICAL_ERROR,
 }
+
+
+def _milp_form(problem: LinearProgram) -> tuple:
+    """``problem.highs_form`` as ``milp`` takes it: ``(Bounds,
+    LinearConstraint)``."""
+    form = problem.highs_form
+    return (
+        Bounds(form.lb, form.ub),
+        LinearConstraint(form.A, form.lhs, form.rhs),
+    )
+
+
+def _solve_lp_by_milp(problem: LinearProgram) -> SolverResult:
+    """``solve_lp`` as it was when every LP went through ``milp``, which
+    builds a new HiGHS instance per call: the reference for one instance
+    per region."""
+    started = time.perf_counter()
+    box, rows = _milp_form(problem)
+    outcome = milp(
+        problem.c, bounds=box, constraints=rows, options={"presolve": True}
+    )
+    status = _SCIPY_STATUS.get(outcome.status, SolverStatus.NUMERICAL_ERROR)
+    x = outcome.x if outcome.x is not None else np.empty(0)
+    if status is SolverStatus.OPTIMAL and not _accepted(
+        problem.highs_form, x, outcome.fun
+    ):
+        status = SolverStatus.NUMERICAL_ERROR
+    return record_solver_result(
+        "lp",
+        SolverResult(
+            status=status,
+            x=x,
+            objective=float(outcome.fun) if status.is_usable else float("nan"),
+            solve_time_s=time.perf_counter() - started,
+            info={"message": outcome.message},
+        ),
+    )
 
 _sides = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
 ROW_KINDS = ["upper", "lower", "ranged", "eq", "free"]
@@ -305,7 +349,7 @@ def test_solve_lp_matches_linprog_on_the_split_form(problem):
     unbounded problems are among the examples."""
     reference = linprog(problem.c, **_linprog_form(problem), method="highs")
     result = solve_lp(problem)
-    assert result.status is _LINPROG_STATUS[reference.status]
+    assert result.status is _SCIPY_STATUS[reference.status]
     if result.status.is_usable:
         assert result.objective.hex() == float(reference.fun).hex()
         assert np.array_equal(result.x, reference.x)
@@ -326,9 +370,116 @@ def test_an_optimum_off_its_box_or_rows_is_refused():
         x_lower=[0.0, 0.0],
         x_upper=[2.0, 2.0],
     )
-    box, rows = problem.highs_form
-    assert _accepted(box, rows, np.array([0.5, 0.5]), 1.0)
-    assert _accepted(box, rows, np.array([0.5 + 1e-4, 0.5]), 1.0)
-    assert not _accepted(box, rows, np.array([0.5 + 1e-3, 0.5]), 1.0)
-    assert not _accepted(box, rows, np.array([1.0 + 1e-3, -1e-3]), 1.0)
-    assert not _accepted(box, rows, np.array([0.5, 0.5]), float("nan"))
+    form = problem.highs_form
+    assert _accepted(form, np.array([0.5, 0.5]), 1.0)
+    assert _accepted(form, np.array([0.5 + 1e-4, 0.5]), 1.0)
+    assert not _accepted(form, np.array([0.5 + 1e-3, 0.5]), 1.0)
+    assert not _accepted(form, np.array([1.0 + 1e-3, -1e-3]), 1.0)
+    assert not _accepted(form, np.array([0.5, 0.5]), float("nan"))
+
+
+def _case(problem: LinearProgram) -> tuple:
+    """``problem`` with the min and max of each coordinate, its own
+    objective, and one the solvers refuse (an infinite entry)."""
+    objectives = []
+    for unit in np.eye(problem.num_variables):
+        objectives += [unit, -unit]
+    refused = problem.c.copy()
+    refused[0] = INF
+    return problem, objectives + [problem.c, refused]
+
+
+@st.composite
+def _regions_and_objectives(draw):
+    """A region from :func:`_mixed_row_lps` and, in drawn order, the
+    objectives one instance solves on it: the min and max of each
+    coordinate, drawn objectives (on an open box some are unbounded),
+    and now and then one with a non-finite entry, which is refused."""
+    problem = draw(_mixed_row_lps())
+    n = problem.num_variables
+    objectives = list(np.eye(n)) + list(-np.eye(n))
+    drawn = st.lists(
+        st.floats(-3.0, 3.0, allow_nan=False), min_size=n, max_size=n
+    )
+    objectives += [np.array(c) for c in draw(st.lists(drawn, max_size=4))]
+    non_finite = st.sampled_from([INF, -INF, np.nan])
+    for bad in draw(st.lists(non_finite, max_size=2)):
+        refused = draw(drawn.map(np.array))
+        refused[draw(st.integers(0, n - 1))] = bad
+        objectives.append(refused)
+    return problem, draw(st.permutations(objectives))
+
+
+@settings(deadline=None)
+@given(case=_regions_and_objectives())
+# row-free
+@example(
+    _case(_lp([1.0, -1.0], np.zeros((0, 2)), [], [], [0.0, -1.0], [2.0, 3.0]))
+)
+# infeasible
+@example(_case(_lp([1.0], [[1.0], [1.0]], [2.0, -INF], [INF, 1.0])))
+# unbounded under some objectives
+@example(_case(_lp([-1.0, 0.0], [[1.0, -1.0]], [0.0], [INF], [0.0, 0.0])))
+# a box HiGHS refuses to load (a lower side of +inf)
+@example(
+    _case(_lp([1.0, 0.0], [[1.0, 1.0]], [-INF], [1.0], [INF, 0.0], [INF, 1.0]))
+)
+# an instance reused after another objective: clearSolver() alone keeps
+# state from that run (the scaling HiGHS chose) and moves x's last bits
+@example(
+    (
+        _lp(
+            [0.0, 0.0, 0.0],
+            [[0.0, 0.0, 0.0], [0.125, -1.0, 0.0]],
+            [-INF, -INF],
+            [0.0, 0.0],
+            [1e-8, 0.0, 0.0],
+            [1.0, 0.0, 0.0],
+        ),
+        [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1e-12, 0.0])],
+    )
+)
+def test_one_instance_per_region_solves_as_a_fresh_milp_call(case):
+    """Objectives solved in turn on a region's one HiGHS instance give
+    what a new ``milp`` call gives each: the same status, objective bits
+    and solution bytes. A run that fails, or an objective refused, does
+    not change the next run."""
+    problem, objectives = case
+    for c in objectives:
+        posed = problem.with_objective(c)
+        assert posed.highs_form is problem.highs_form
+        if not np.all(np.isfinite(c)):
+            with pytest.raises(ValueError):
+                _solve_lp_by_milp(posed)
+            with pytest.raises(ValueError):
+                solve_lp(posed)
+            continue
+        reference = _solve_lp_by_milp(posed)
+        result = solve_lp(posed)
+        assert result.status is reference.status
+        assert result.objective.hex() == reference.objective.hex()
+        assert result.x.tobytes() == reference.x.tobytes()
+
+
+def test_highs_statuses_read_as_milp_reads_them():
+    """Each HiGHS model status reads as ``milp`` reads it: scipy's table
+    of HiGHS statuses, then scipy's status codes."""
+    from scipy.optimize._highspy._core import HighsModelStatus
+    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+
+    for name, member in HighsModelStatus.__members__.items():
+        code, _ = _highs_to_scipy_status_message(member, "")
+        status = _HIGHS_STATUS.get(name, SolverStatus.NUMERICAL_ERROR)
+        assert status is _SCIPY_STATUS[code]
+
+
+@pytest.mark.parametrize(
+    "bindings",
+    [None, types.ModuleType("scipy.optimize._highspy._core")],
+    ids=["module missing", "names missing"],
+)
+def test_missing_highs_bindings_name_the_scipy_needed(monkeypatch, bindings):
+    problem = _lp([1.0], [[1.0]], [0.0], [1.0])
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", bindings)
+    with pytest.raises(ImportError, match=r"scipy >= 1\.15"):
+        solve_lp(problem)
